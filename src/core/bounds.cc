@@ -18,12 +18,88 @@ Result<RuleState> ComputeRuleState(const RuleEngine& engine,
 }
 
 FractionBounds ToFractionBounds(const RuleState& state) {
+  return ToFractionBounds(state.hb_min, state.hb_max, state.size);
+}
+
+FractionBounds ToFractionBounds(int64_t hb_min, int64_t hb_max,
+                                int64_t size) {
   FractionBounds bounds;
-  if (state.size > 0) {
-    bounds.min_fraction = static_cast<double>(state.hb_min) / state.size;
-    bounds.max_fraction = static_cast<double>(state.hb_max) / state.size;
+  if (size > 0) {
+    bounds.min_fraction = static_cast<double>(hb_min) / size;
+    bounds.max_fraction = static_cast<double>(hb_max) / size;
   }
   return bounds;
+}
+
+IntervalRow IntervalRow::Exact(const ColorHistogram& histogram,
+                               int32_t width, int32_t height) {
+  IntervalRow row;
+  row.bins.resize(static_cast<size_t>(histogram.BinCount()));
+  for (BinIndex bin = 0; bin < histogram.BinCount(); ++bin) {
+    const uint32_t count = static_cast<uint32_t>(histogram.Count(bin));
+    row.bins[static_cast<size_t>(bin)] = IntervalBin{count, count};
+  }
+  row.size = histogram.Total();
+  row.width = width;
+  row.height = height;
+  return row;
+}
+
+Result<IntervalRow> FoldIntervalRow(const RuleEngine& engine,
+                                    const EditScript& script,
+                                    const ColorHistogram& base_histogram,
+                                    int32_t base_width, int32_t base_height,
+                                    const TargetRowResolver& targets) {
+  const size_t bins = static_cast<size_t>(base_histogram.BinCount());
+  // [min, max] per bin, interleaved.
+  std::vector<int64_t> bounds(2 * bins);
+  for (size_t bin = 0; bin < bins; ++bin) {
+    bounds[2 * bin] = bounds[2 * bin + 1] =
+        base_histogram.Count(static_cast<BinIndex>(bin));
+  }
+  // The bin fields of `shape` stay unused: it tracks only the geometry
+  // every bin shares.
+  RuleState shape = RuleEngine::InitialState(0, base_width, base_height);
+  IntervalRow target;
+  for (const EditOp& op : script.ops) {
+    const MergeOp* merge = std::get_if<MergeOp>(&op);
+    const bool pastes = merge != nullptr && !merge->IsNullTarget();
+    TargetBounds target_shape;
+    if (pastes) {
+      if (!targets) {
+        return Status::InvalidArgument(
+            "Merge rule: no target resolver for target " +
+            std::to_string(*merge->target));
+      }
+      MMDB_ASSIGN_OR_RETURN(target, targets(*merge->target));
+      target_shape.size = target.size;
+      target_shape.width = target.width;
+      target_shape.height = target.height;
+    }
+    const RuleStep step = engine.PlanRule(op, &target_shape, &shape);
+    RuleEngine::ApplyStepToBins(
+        step, bins,
+        [&target](size_t bin, int64_t* target_min, int64_t* target_max) {
+          *target_min = target.bins[bin].min;
+          *target_max = target.bins[bin].max;
+        },
+        bounds.data());
+  }
+  if (shape.size > static_cast<int64_t>(UINT32_MAX)) {
+    return Status::OutOfRange("edited image has " +
+                              std::to_string(shape.size) +
+                              " pixels; interval rows hold at most 2^32 - 1");
+  }
+  IntervalRow row;
+  row.bins.resize(bins);
+  for (size_t bin = 0; bin < bins; ++bin) {
+    row.bins[bin] = IntervalBin{static_cast<uint32_t>(bounds[2 * bin]),
+                                static_cast<uint32_t>(bounds[2 * bin + 1])};
+  }
+  row.size = shape.size;
+  row.width = shape.width;
+  row.height = shape.height;
+  return row;
 }
 
 Result<FractionBounds> ComputeBounds(const RuleEngine& engine,

@@ -1,7 +1,12 @@
 #ifndef MMDB_CORE_BOUNDS_H_
 #define MMDB_CORE_BOUNDS_H_
 
+#include <cstdint>
+#include <functional>
+#include <vector>
+
 #include "core/cancel.h"
+#include "core/histogram.h"
 #include "core/rules.h"
 #include "editops/edit_ops.h"
 #include "util/result.h"
@@ -54,6 +59,68 @@ Result<RuleState> ComputeRuleState(const RuleEngine& engine,
 /// Converts a final rule state to fraction bounds ([0, 0] for an empty
 /// image).
 FractionBounds ToFractionBounds(const RuleState& state);
+
+/// The one division every bounds consumer uses: `hb_min` and `hb_max`
+/// pixels out of `size` as fractions ([0, 0] when `size` is 0). Stored
+/// rows and per-query folds both go through it, so their doubles are
+/// bit-identical.
+FractionBounds ToFractionBounds(int64_t hb_min, int64_t hb_max, int64_t size);
+
+/// One bin of an interval row: `[min, max]` pixels.
+struct IntervalBin {
+  uint32_t min = 0;
+  uint32_t max = 0;
+};
+
+/// A stored interval row read in place (`AugmentedCollection::RowOf`):
+/// valid until the collection's next mutation.
+struct IntervalRowView {
+  const IntervalBin* bins = nullptr;
+  int64_t size = 0;
+  int32_t width = 0;
+  int32_t height = 0;
+
+  /// Bin `bin` as fractions, via the shared `ToFractionBounds` division.
+  FractionBounds Fraction(BinIndex bin) const {
+    const IntervalBin& b = bins[static_cast<size_t>(bin)];
+    return ToFractionBounds(b.min, b.max, size);
+  }
+};
+
+/// An edited image's interval histogram: for every bin, the
+/// `[min, max]` pixel bounds the Table 1 rules give, plus the exact size
+/// and canvas. The bounds depend on the script, the base image and the
+/// merge targets, never on a query, and none of those can change while
+/// the image is stored, so the facade folds the row once at insert (and
+/// at reopen), the collection stores it, and range, conjunctive and
+/// top-k queries compare against it instead of re-walking the rules.
+/// Counts are u32 (512 B per image at 64 bins).
+struct IntervalRow {
+  std::vector<IntervalBin> bins;
+  int64_t size = 0;
+  int32_t width = 0;
+  int32_t height = 0;
+
+  /// The row of a binary image: every bin exact (min == max).
+  static IntervalRow Exact(const ColorHistogram& histogram, int32_t width,
+                           int32_t height);
+};
+
+/// Resolves a Merge target id to all of its bins at once: a binary
+/// target's exact histogram, an edited target's stored row.
+using TargetRowResolver = std::function<Result<IntervalRow>(ObjectId)>;
+
+/// The all-bins BOUNDS fold: one pass over `script` that works out each
+/// operation's geometry once (`RuleEngine::PlanRule`) and applies its
+/// count step to every bin (`RuleEngine::ApplyStep`). Bin for bin equal
+/// to `ComputeRuleState` given a resolver that agrees with `targets`.
+/// Fails with OutOfRange when the final image has more than 2^32 - 1
+/// pixels (the row stores u32 counts).
+Result<IntervalRow> FoldIntervalRow(const RuleEngine& engine,
+                                    const EditScript& script,
+                                    const ColorHistogram& base_histogram,
+                                    int32_t base_width, int32_t base_height,
+                                    const TargetRowResolver& targets);
 
 }  // namespace mmdb
 

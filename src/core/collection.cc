@@ -20,7 +20,8 @@ Status AugmentedCollection::AddBinary(BinaryImageInfo info) {
   return Status::OK();
 }
 
-Status AugmentedCollection::AddEdited(EditedImageInfo info) {
+Status AugmentedCollection::AddEdited(EditedImageInfo info,
+                                      const IntervalRow& row) {
   if (info.id == kInvalidObjectId) {
     return Status::InvalidArgument("edited image id must be non-zero");
   }
@@ -32,9 +33,29 @@ Status AugmentedCollection::AddEdited(EditedImageInfo info) {
                             std::to_string(info.script.base_id) +
                             " is not a stored binary image");
   }
+  if (row_width_ == 0) row_width_ = row.bins.size();
+  if (row.bins.empty() || row.bins.size() != row_width_) {
+    return Status::InvalidArgument(
+        "interval row of image " + std::to_string(info.id) + " has " +
+        std::to_string(row.bins.size()) + " bins, not " +
+        std::to_string(row_width_));
+  }
+  if (free_row_slots_.empty()) {
+    info.row_slot = static_cast<uint32_t>(row_shapes_.size());
+    row_shapes_.emplace_back();
+    row_bins_.resize(row_bins_.size() + row_width_);
+  } else {
+    info.row_slot = free_row_slots_.back();
+    free_row_slots_.pop_back();
+  }
+  row_shapes_[info.row_slot] = RowShape{row.size, row.width, row.height};
+  std::copy(row.bins.begin(), row.bins.end(),
+            row_bins_.begin() +
+                static_cast<std::ptrdiff_t>(info.row_slot * row_width_));
   base_to_edited_[info.script.base_id].push_back(info.id);
   edited_order_.push_back(info.id);
-  editeds_.emplace(info.id, std::move(info));
+  const ObjectId id = info.id;
+  edited_infos_.push_back(&editeds_.emplace(id, std::move(info)).first->second);
   return Status::OK();
 }
 
@@ -54,7 +75,12 @@ Status AugmentedCollection::RemoveEdited(ObjectId id) {
     EraseId(connection->second, id);
     if (connection->second.empty()) base_to_edited_.erase(connection);
   }
-  EraseId(edited_order_, id);
+  const auto position =
+      std::find(edited_order_.begin(), edited_order_.end(), id);
+  edited_infos_.erase(edited_infos_.begin() +
+                      (position - edited_order_.begin()));
+  edited_order_.erase(position);
+  free_row_slots_.push_back(it->second.row_slot);
   editeds_.erase(it);
   return Status::OK();
 }
@@ -94,51 +120,80 @@ const std::vector<ObjectId>& AugmentedCollection::EditedOf(
 
 TargetBoundsResolver AugmentedCollection::MakeTargetResolver(
     const RuleEngine& engine) const {
-  // The lambda owns a shared in-flight set for cycle detection so that an
+  // The lambda owns the in-flight set for cycle detection so that an
   // edited image whose Merge target (transitively) references itself is
   // rejected rather than looping.
   auto in_flight = std::make_shared<std::set<ObjectId>>();
-  // Self-referential: the resolver passed to ComputeRuleState for edited
-  // targets is this resolver itself.
-  auto self = std::make_shared<TargetBoundsResolver>();
-  *self = [this, &engine, in_flight, self](
-              ObjectId id, BinIndex hb) -> Result<TargetBounds> {
-    if (const BinaryImageInfo* binary = FindBinary(id)) {
-      TargetBounds out;
-      out.hb_min = out.hb_max = binary->histogram.Count(hb);
-      out.size = binary->histogram.Total();
-      out.width = binary->width;
-      out.height = binary->height;
-      return out;
-    }
-    const EditedImageInfo* edited = FindEdited(id);
-    if (edited == nullptr) {
-      return Status::NotFound("merge target " + std::to_string(id));
-    }
-    if (!in_flight->insert(id).second) {
-      return Status::InvalidArgument("merge target cycle through object " +
-                                     std::to_string(id));
-    }
-    const BinaryImageInfo* base = FindBinary(edited->script.base_id);
-    if (base == nullptr) {
-      in_flight->erase(id);
-      return Status::NotFound("base image of merge target " +
-                              std::to_string(id));
-    }
-    Result<RuleState> state = ComputeRuleState(
-        engine, edited->script, hb, base->histogram.Count(hb), base->width,
-        base->height, *self);
-    in_flight->erase(id);
-    if (!state.ok()) return state.status();
-    TargetBounds out;
-    out.hb_min = state->hb_min;
-    out.hb_max = state->hb_max;
-    out.size = state->size;
-    out.width = state->width;
-    out.height = state->height;
-    return out;
+  return [this, &engine, in_flight](ObjectId id, BinIndex hb) {
+    return ResolveTarget(engine, id, hb, in_flight.get());
   };
-  return *self;
+}
+
+Result<TargetBounds> AugmentedCollection::ResolveTarget(
+    const RuleEngine& engine, ObjectId id, BinIndex hb,
+    std::set<ObjectId>* in_flight) const {
+  if (const BinaryImageInfo* binary = FindBinary(id)) {
+    TargetBounds out;
+    out.hb_min = out.hb_max = binary->histogram.Count(hb);
+    out.size = binary->histogram.Total();
+    out.width = binary->width;
+    out.height = binary->height;
+    return out;
+  }
+  const EditedImageInfo* edited = FindEdited(id);
+  if (edited == nullptr) {
+    return Status::NotFound("merge target " + std::to_string(id));
+  }
+  if (!in_flight->insert(id).second) {
+    return Status::InvalidArgument("merge target cycle through object " +
+                                   std::to_string(id));
+  }
+  const BinaryImageInfo* base = FindBinary(edited->script.base_id);
+  if (base == nullptr) {
+    in_flight->erase(id);
+    return Status::NotFound("base image of merge target " +
+                            std::to_string(id));
+  }
+  Result<RuleState> state = ComputeRuleState(
+      engine, edited->script, hb, base->histogram.Count(hb), base->width,
+      base->height, [this, &engine, in_flight](ObjectId target, BinIndex bin) {
+        return ResolveTarget(engine, target, bin, in_flight);
+      });
+  in_flight->erase(id);
+  if (!state.ok()) return state.status();
+  TargetBounds out;
+  out.hb_min = state->hb_min;
+  out.hb_max = state->hb_max;
+  out.size = state->size;
+  out.width = state->width;
+  out.height = state->height;
+  return out;
+}
+
+Result<IntervalRow> AugmentedCollection::FoldRow(
+    const RuleEngine& engine, const EditScript& script) const {
+  const BinaryImageInfo* base = FindBinary(script.base_id);
+  if (base == nullptr) {
+    return Status::NotFound("referenced base image " +
+                            std::to_string(script.base_id) +
+                            " is not a stored binary image");
+  }
+  return FoldIntervalRow(
+      engine, script, base->histogram, base->width, base->height,
+      [this](ObjectId id) -> Result<IntervalRow> {
+        if (const BinaryImageInfo* binary = FindBinary(id)) {
+          return IntervalRow::Exact(binary->histogram, binary->width,
+                                    binary->height);
+        }
+        const EditedImageInfo* edited = FindEdited(id);
+        if (edited == nullptr) {
+          return Status::NotFound("merge target " + std::to_string(id));
+        }
+        const IntervalRowView row = RowOf(*edited);
+        return IntervalRow{
+            std::vector<IntervalBin>(row.bins, row.bins + row_width_),
+            row.size, row.width, row.height};
+      });
 }
 
 }  // namespace mmdb

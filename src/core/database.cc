@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "core/executor.h"
+#include "core/interval.h"
 #include "core/parallel.h"
 #include "core/plan.h"
 #include "core/query_metrics.h"
@@ -33,6 +34,8 @@ std::string_view QueryMethodName(QueryMethod method) {
       return "parallel-rbm";
     case QueryMethod::kPlanned:
       return "planned";
+    case QueryMethod::kInterval:
+      return "interval";
   }
   return "unknown";
 }
@@ -81,6 +84,10 @@ struct ProcessorRegistry {
           [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
         return std::make_unique<PlannedQueryProcessor>(&db);
       };
+      r->factories[QueryMethod::kInterval] =
+          [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
+        return std::make_unique<IntervalQueryProcessor>(&db.collection());
+      };
       return r;
     }();
     return *registry;
@@ -92,10 +99,7 @@ struct ProcessorRegistry {
 obs::SpanCategory* QuerySpanFor(QueryMethod method) {
   static const std::map<QueryMethod, obs::SpanCategory*>* const table = [] {
     auto* out = new std::map<QueryMethod, obs::SpanCategory*>();
-    for (QueryMethod m :
-         {QueryMethod::kInstantiate, QueryMethod::kRbm, QueryMethod::kBwm,
-          QueryMethod::kBwmIndexed, QueryMethod::kParallelRbm,
-          QueryMethod::kPlanned}) {
+    for (QueryMethod m : kAllQueryMethods) {
       (*out)[m] = obs::Tracer::Default().Intern(
           "query." + std::string(QueryMethodName(m)));
     }
@@ -257,11 +261,21 @@ Status MultimediaDatabase::LoadExisting() {
         QuarantineImage(row.id);
         continue;
       }
+      // Rows load in id order, so the base and every merge target are
+      // already registered — unless one was quarantined above. Then this
+      // image's interval row cannot be folded (nor its pixels rebuilt),
+      // so it is quarantined too instead of failing the open; so is an
+      // image too large for a row, which only an older build could store.
+      Result<IntervalRow> interval = collection_.FoldRow(rule_engine_, *script);
+      if (!interval.ok()) {
+        QuarantineImage(row.id);
+        continue;
+      }
       EditedImageInfo info;
       info.id = row.id;
       info.script = *std::move(script);
       bwm_index_.InsertEdited(info);
-      MMDB_RETURN_IF_ERROR(collection_.AddEdited(std::move(info)));
+      MMDB_RETURN_IF_ERROR(collection_.AddEdited(std::move(info), *interval));
     }
   }
   return Status::OK();
@@ -345,6 +359,11 @@ Status MultimediaDatabase::ValidateScript(const EditScript& script) const {
 Result<ObjectId> MultimediaDatabase::InsertEditedImage(
     const EditScript& script) {
   MMDB_RETURN_IF_ERROR(ValidateScript(script));
+  // The image's bounds never change while it is stored (DeleteImage
+  // refuses to remove its base or merge targets), so they are folded
+  // once, here, for every bin.
+  MMDB_ASSIGN_OR_RETURN(IntervalRow interval,
+                        collection_.FoldRow(rule_engine_, script));
   ObjectId id = kInvalidObjectId;
   MMDB_RETURN_IF_ERROR(WithBatch([&]() -> Status {
     MMDB_ASSIGN_OR_RETURN(id, NextId());
@@ -362,7 +381,7 @@ Result<ObjectId> MultimediaDatabase::InsertEditedImage(
     info.id = id;
     info.script = script;
     bwm_index_.InsertEdited(info);  // Figure 1 insertion algorithm.
-    return collection_.AddEdited(std::move(info));
+    return collection_.AddEdited(std::move(info), interval);
   }));
   mutation_epoch_.fetch_add(1, std::memory_order_release);
   return id;

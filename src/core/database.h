@@ -81,7 +81,19 @@ enum class QueryMethod {
   /// execution. Same result *sets* as kRbm / kBwm; result order follows
   /// the driving predicate's scan.
   kPlanned,
+  /// Stored interval rows (beyond-paper): the binary side scanned exactly,
+  /// each edited image tested against the interval histogram folded once
+  /// at insert (`AugmentedCollection::RowOf`) instead of re-walking its
+  /// rules. Same result sets — and the same result order — as kRbm.
+  kInterval,
 };
+
+/// Every query method, in enum order (the wire code order).
+inline constexpr QueryMethod kAllQueryMethods[] = {
+    QueryMethod::kInstantiate, QueryMethod::kRbm,
+    QueryMethod::kBwm,         QueryMethod::kBwmIndexed,
+    QueryMethod::kParallelRbm, QueryMethod::kPlanned,
+    QueryMethod::kInterval};
 
 /// Human-readable method name ("rbm", "bwm", ...), for tables and logs.
 std::string_view QueryMethodName(QueryMethod method);

@@ -32,7 +32,8 @@ int BucketOf(double fraction) {
 /// answers are exact rather than bounded, so choosing it would change
 /// the planned result set.
 constexpr QueryMethod kDriverCandidates[] = {
-    QueryMethod::kRbm, QueryMethod::kBwm, QueryMethod::kBwmIndexed};
+    QueryMethod::kRbm, QueryMethod::kBwm, QueryMethod::kBwmIndexed,
+    QueryMethod::kInterval};
 
 }  // namespace
 
@@ -147,6 +148,10 @@ double QueryPlanner::MethodCost(QueryMethod method, double selectivity) const {
       return binary * model_.histogram_probe + edited_rbm;
     case QueryMethod::kBwm:
       return binary * model_.histogram_probe + edited_bwm;
+    case QueryMethod::kInterval:
+      // A stored-row comparison is a lookup and two divisions, like a
+      // histogram probe.
+      return (binary + edited) * model_.histogram_probe;
     case QueryMethod::kBwmIndexed:
       // R-tree descent plus per-result node visits; the linear histogram
       // scan wins this back once the predicate stops being selective —
@@ -211,7 +216,7 @@ QueryPlan QueryPlanner::PlanConjunctive(const ConjunctiveQuery& query) const {
     const double surviving_binary = survivors * binary_share;
     const double surviving_edited = survivors * (1.0 - binary_share);
     step.estimated_cost = surviving_binary * model_.residual_filter +
-                          surviving_edited * plan.avg_ops * model_.rule_cost;
+                          surviving_edited * model_.histogram_probe;
     survivors *= step.selectivity;
   }
   return plan;
@@ -267,19 +272,28 @@ Result<QueryResult> PlannedQueryProcessor::RunConjunctive(
   const QueryPlan plan = planner_.PlanConjunctive(query);
   MMDB_ASSIGN_OR_RETURN(std::unique_ptr<QueryProcessor> processor,
                         db_->MakeProcessor(plan.driver().method));
+  if (plan.driver().method == QueryMethod::kInterval) {
+    // The interval scan tests every conjunct against the row it already
+    // holds, where the residual filter below looks each survivor up by
+    // id again; on `embedded-helmet` handing it the whole conjunction
+    // halves the conjunctive median. Most selective conjunct first.
+    ConjunctiveQuery ordered;
+    for (const PlannedPredicate& step : plan.steps) {
+      ordered.conjuncts.push_back(step.predicate);
+    }
+    return processor->RunConjunctive(ordered, ctx);
+  }
   MMDB_ASSIGN_OR_RETURN(
       QueryResult driven,
       processor->RunRange(plan.driver().predicate, ctx));
   if (plan.steps.size() == 1) return driven;
 
   // Residual filter over the driver's survivors: exact fractions for
-  // binary images, one rule-fold bound per residual conjunct for edited
-  // ones — the same per-image logic the RBM conjunctive scan applies, so
-  // the planned result set equals the unplanned one.
+  // binary images, the stored interval row for edited ones — the same
+  // bounds the RBM conjunctive scan folds, so the planned result set
+  // equals the unplanned one.
   CancelCheck check(ctx);
   const AugmentedCollection& collection = db_->collection();
-  const RuleEngine& engine = db_->rule_engine();
-  const TargetBoundsResolver resolver = collection.MakeTargetResolver(engine);
   QueryResult out;
   out.stats = driven.stats;
   for (ObjectId id : driven.ids) {
@@ -296,25 +310,13 @@ Result<QueryResult> PlannedQueryProcessor::RunConjunctive(
     }
     const EditedImageInfo* edited = collection.FindEdited(id);
     if (edited == nullptr) continue;  // Deleted between scan and filter.
-    const BinaryImageInfo* base = collection.FindBinary(edited->script.base_id);
-    if (base == nullptr) {
-      return Status::Corruption("edited image " + std::to_string(id) +
-                                " references missing base");
-    }
+    const IntervalRowView row = collection.RowOf(*edited);
     ++out.stats.edited_images_bounded;
     bool keep = true;
     for (size_t i = 1; i < plan.steps.size() && keep; ++i) {
       const RangeQuery& predicate = plan.steps[i].predicate;
-      Result<FractionBounds> bounds = ComputeBounds(
-          engine, edited->script, predicate.bin,
-          base->histogram.Count(predicate.bin), base->width, base->height,
-          resolver, check.enabled_or_null());
-      if (!bounds.ok()) {
-        return AnnotateInterrupt(ctx, out, bounds.status());
-      }
-      out.stats.rules_applied +=
-          static_cast<int64_t>(edited->script.ops.size());
-      keep = bounds->Overlaps(predicate.min_fraction, predicate.max_fraction);
+      keep = row.Fraction(predicate.bin)
+                 .Overlaps(predicate.min_fraction, predicate.max_fraction);
     }
     if (keep) out.ids.push_back(id);
   }
@@ -338,10 +340,10 @@ Result<std::string> ExplainQuery(const MultimediaDatabase& db,
     out += "  " + std::to_string(stats.binary_count()) +
            " binary images: exact L1 histogram distances\n";
     out += "  " + std::to_string(stats.edited_count()) +
-           " edited images: provable [lo, hi] distance intervals (" +
+           " edited images: provable [lo, hi] distance intervals from "
+           "stored interval rows (" +
            std::to_string(db.quantizer().BinCount()) +
-           " rule folds each, avg " + Fixed(stats.avg_ops()) +
-           " ops)\n";
+           " bins each, no rules applied)\n";
     out += "  cutoff: k-th smallest guaranteed distance (k=" +
            std::to_string(similarity->k) + "); no false negatives\n";
     return out;

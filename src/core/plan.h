@@ -134,10 +134,11 @@ struct QueryPlan {
 /// The cost-based planner: estimates per-predicate selectivity from
 /// `CorpusStats`, orders conjuncts most-selective-first, and picks the
 /// driver's access method as the cheapest of the semantics-preserving
-/// candidates (kRbm / kBwm / kBwmIndexed — the conventional, clustered,
-/// and indexed compositions; kInstantiate is costed for comparison but
-/// never chosen, because its edited-image answers are exact rather than
-/// bounded and would change the result set).
+/// candidates (kRbm / kBwm / kBwmIndexed / kInterval — the conventional,
+/// clustered, indexed and stored-row compositions; kInstantiate is
+/// costed for comparison but never chosen, because its edited-image
+/// answers are exact rather than bounded and would change the result
+/// set).
 class QueryPlanner {
  public:
   QueryPlanner(CorpusStats stats, CostModel model = {});
@@ -168,7 +169,7 @@ class QueryPlanner {
 /// The `QueryMethod::kPlanned` access path: plans the query, runs the
 /// driving predicate with the chosen sub-processor, then filters the
 /// survivors through the residual conjuncts (exact fractions for binary
-/// images, rule-fold bounds for edited ones). Returns the same result
+/// images, stored interval rows for edited ones). Returns the same result
 /// *sets* as kRbm / kBwm; result order follows the driver's scan.
 class PlannedQueryProcessor : public QueryProcessor {
  public:

@@ -100,58 +100,87 @@ RuleState RuleEngine::InitialState(int64_t hb_count, int32_t width,
 Status RuleEngine::ApplyRule(const EditOp& op, BinIndex hb,
                              const TargetBoundsResolver& resolver,
                              RuleState* state) const {
+  TargetBounds target;
+  if (GetOpType(op) == EditOpType::kMerge) {
+    const MergeOp& merge = std::get<MergeOp>(op);
+    if (!merge.IsNullTarget()) {
+      if (!resolver) {
+        return Status::InvalidArgument(
+            "Merge rule: no target resolver for target " +
+            std::to_string(*merge.target));
+      }
+      MMDB_ASSIGN_OR_RETURN(target, resolver(*merge.target, hb));
+    }
+  }
+  const RuleStep step = PlanRule(op, &target, state);
+  ApplyStep(step, hb, target.hb_min, target.hb_max, &state->hb_min,
+            &state->hb_max);
+  return Status::OK();
+}
+
+RuleStep RuleEngine::PlanRule(const EditOp& op, const TargetBounds* target,
+                              RuleState* state) const {
+  RuleStep step;
+  step.size = state->size;
   switch (GetOpType(op)) {
     case EditOpType::kDefine:
-      ApplyDefine(std::get<DefineOp>(op), state);
-      return Status::OK();
+      state->defined_region =
+          std::get<DefineOp>(op).region.Intersect(state->CanvasBounds());
+      return step;
     case EditOpType::kCombine:
-      ApplyCombine(std::get<CombineOp>(op), state);
-      return Status::OK();
-    case EditOpType::kModify:
-      ApplyModify(std::get<ModifyOp>(op), hb, state);
-      return Status::OK();
+      // A zero-weight kernel is an editor no-op; Table 1 says "No change"
+      // for Combine (paper_strict). Sound mode: a blur can move every DR
+      // pixel across a bin boundary.
+      if (std::get<CombineOp>(op).WeightSum() != 0.0 &&
+          !options_.paper_strict) {
+        step.kind = RuleStep::Kind::kWiden;
+        step.changed = state->DrSize();
+      }
+      return step;
+    case EditOpType::kModify: {
+      const ModifyOp& modify = std::get<ModifyOp>(op);
+      step.kind = RuleStep::Kind::kRecolor;
+      step.changed = state->DrSize();
+      step.enter_bin = quantizer_.BinOf(modify.new_color);
+      step.leave_bin = quantizer_.BinOf(modify.old_color);
+      return step;
+    }
     case EditOpType::kMutate:
-      ApplyMutate(std::get<MutateOp>(op), state);
-      return Status::OK();
+      return PlanMutate(std::get<MutateOp>(op), state);
     case EditOpType::kMerge:
-      return ApplyMerge(std::get<MergeOp>(op), hb, resolver, state);
+      break;
   }
-  return Status::Internal("unknown edit op type");
-}
-
-void RuleEngine::WidenBy(int64_t changed, RuleState* state) {
-  state->hb_min = std::max<int64_t>(0, state->hb_min - changed);
-  state->hb_max = std::min(state->size, state->hb_max + changed);
-}
-
-void RuleEngine::ApplyDefine(const DefineOp& op, RuleState* state) const {
-  state->defined_region = op.region.Intersect(state->CanvasBounds());
-}
-
-void RuleEngine::ApplyCombine(const CombineOp& op, RuleState* state) const {
-  if (op.WeightSum() == 0.0) return;  // Editor treats this as a no-op.
-  if (options_.paper_strict) return;  // Table 1: "No change" for Combine.
-  // Sound mode: a blur can move every DR pixel across a bin boundary.
-  WidenBy(state->DrSize(), state);
-}
-
-void RuleEngine::ApplyModify(const ModifyOp& op, BinIndex hb,
-                             RuleState* state) const {
-  const int64_t dr = state->DrSize();
-  if (quantizer_.BinOf(op.new_color) == hb) {
-    // Table 1 row 1: recolored pixels may enter bin HB.
-    state->hb_max = std::min(state->size, state->hb_max + dr);
-  } else if (quantizer_.BinOf(op.old_color) == hb) {
-    // Table 1 row 2: pixels of the old color may leave bin HB.
-    state->hb_min = std::max<int64_t>(0, state->hb_min - dr);
+  const MergeOp& merge = std::get<MergeOp>(op);
+  step.size_before = state->size;
+  if (merge.IsNullTarget()) {
+    // Table 1 "Target is NULL": the DR is extracted as the new image.
+    step.kind = RuleStep::Kind::kExtract;
+    step.changed = state->DrSize();
+    state->width = state->defined_region.Width();
+    state->height = state->defined_region.Height();
+    state->size = step.changed;
+  } else {
+    // Paste region in target coordinates, clipped to the target canvas —
+    // mirrors Editor::ApplyMerge.
+    step.kind = RuleStep::Kind::kPaste;
+    step.changed =
+        Rect(merge.x, merge.y, merge.x + state->defined_region.Width(),
+             merge.y + state->defined_region.Height())
+            .Intersect(Rect::Full(target->width, target->height))
+            .Area();
+    state->width = target->width;
+    state->height = target->height;
+    state->size = target->size;
   }
-  // Table 1 row 3: neither color maps to HB — no change.
+  step.size = state->size;
+  state->defined_region = state->CanvasBounds();
+  return step;
 }
 
-void RuleEngine::ApplyMutate(const MutateOp& op, RuleState* state) const {
-  const bool full_canvas = state->defined_region == state->CanvasBounds();
-
-  if (full_canvas && op.IsPureScale()) {
+RuleStep RuleEngine::PlanMutate(const MutateOp& op, RuleState* state) const {
+  RuleStep step;
+  step.size = state->size;
+  if (state->defined_region == state->CanvasBounds() && op.IsPureScale()) {
     // Table 1 "DR contains image": the canvas is resized. Dimensions (and
     // hence the total pixel count) are exact in both modes.
     const double sx = op.m[0];
@@ -160,35 +189,33 @@ void RuleEngine::ApplyMutate(const MutateOp& op, RuleState* state) const {
         static_cast<int32_t>(std::lround(state->width * sx));
     const int32_t new_h =
         static_cast<int32_t>(std::lround(state->height * sy));
+    step.kind = RuleStep::Kind::kScale;
     if (options_.paper_strict) {
       // Multiply the bin bounds by M11 * M22 verbatim.
-      const double factor = sx * sy;
-      state->hb_min = static_cast<int64_t>(std::llround(state->hb_min * factor));
-      state->hb_max = static_cast<int64_t>(std::llround(state->hb_max * factor));
+      step.strict = true;
+      step.factor = sx * sy;
     } else {
       // Sound mode: bracket the nearest-neighbor replication factor per
       // source pixel exactly (integer scales collapse to k^2 exactly).
       int64_t fx_min, fx_max, fy_min, fy_max;
       AxisReplication(state->width, new_w, sx, &fx_min, &fx_max);
       AxisReplication(state->height, new_h, sy, &fy_min, &fy_max);
-      state->hb_min = state->hb_min * fx_min * fy_min;
-      state->hb_max = state->hb_max * fx_max * fy_max;
+      step.min_hits = fx_min * fy_min;
+      step.max_hits = fx_max * fy_max;
     }
     state->width = new_w;
     state->height = new_h;
     state->size = static_cast<int64_t>(new_w) * new_h;
-    state->hb_min = std::clamp<int64_t>(state->hb_min, 0, state->size);
-    state->hb_max = std::clamp<int64_t>(state->hb_max, state->hb_min,
-                                        state->size);
     state->defined_region = state->CanvasBounds();
-    return;
+    step.size = state->size;
+    return step;
   }
 
   // Stamp semantics: only pixels inside the clipped destination box can
   // change, and at most ~|DR| of them have preimages inside the DR.
   const Rect dest =
       MutateDestBox(op, state->defined_region, state->CanvasBounds());
-  int64_t changed;
+  step.kind = RuleStep::Kind::kWiden;
   if (op.IsRigidBody()) {
     // Table 1 "Rigid Body": adjust by |DR| — plus, in sound mode, a
     // rasterization slack bounded by the region perimeter.
@@ -198,63 +225,13 @@ void RuleEngine::ApplyMutate(const MutateOp& op, RuleState* state) const {
             : 2 * (2 * (state->defined_region.Width() +
                         state->defined_region.Height())) +
                   16;
-    changed = std::min(dest.Area(), state->DrSize() + slack);
+    step.changed = std::min(dest.Area(), state->DrSize() + slack);
   } else {
     // General affine stamp (not covered by Table 1): anything in the
     // destination box may change.
-    changed = dest.Area();
+    step.changed = dest.Area();
   }
-  WidenBy(changed, state);
-}
-
-Status RuleEngine::ApplyMerge(const MergeOp& op, BinIndex hb,
-                              const TargetBoundsResolver& resolver,
-                              RuleState* state) const {
-  const int64_t dr = state->DrSize();
-  if (op.IsNullTarget()) {
-    // Table 1 "Target is NULL": the DR is extracted as the new image.
-    //   min' = max(0, |DR| - (E - HBmin)),  max' = min(HBmax, |DR|).
-    state->hb_min = std::max<int64_t>(0, dr - (state->size - state->hb_min));
-    state->hb_max = std::min(state->hb_max, dr);
-    state->width = state->defined_region.Width();
-    state->height = state->defined_region.Height();
-    state->size = dr;
-    state->defined_region = state->CanvasBounds();
-    return Status::OK();
-  }
-
-  if (!resolver) {
-    return Status::InvalidArgument(
-        "Merge rule: no target resolver for target " +
-        std::to_string(*op.target));
-  }
-  MMDB_ASSIGN_OR_RETURN(TargetBounds target, resolver(*op.target, hb));
-  // Paste region in target coordinates, clipped to the target canvas —
-  // mirrors Editor::ApplyMerge.
-  const Rect paste = Rect(op.x, op.y, op.x + state->defined_region.Width(),
-                          op.y + state->defined_region.Height())
-                         .Intersect(Rect::Full(target.width, target.height));
-  const int64_t overlap = paste.Area();
-  // DR pixels that land on the target contribute between
-  // max(0, HBmin - E + overlap) and min(HBmax, overlap); surviving target
-  // pixels contribute between max(0, T_HBmin - overlap) and
-  // min(T_HBmax, T - overlap). (This is the paper's "Target is Not NULL"
-  // row with pasting clipped to the target canvas; see DESIGN.md.)
-  const int64_t paste_min =
-      std::max<int64_t>(0, state->hb_min - state->size + overlap);
-  const int64_t paste_max = std::min(state->hb_max, overlap);
-  const int64_t keep_min = std::max<int64_t>(0, target.hb_min - overlap);
-  const int64_t keep_max = std::min(target.hb_max, target.size - overlap);
-  state->hb_min = paste_min + keep_min;
-  state->hb_max = paste_max + keep_max;
-  state->width = target.width;
-  state->height = target.height;
-  state->size = target.size;
-  state->hb_min = std::clamp<int64_t>(state->hb_min, 0, state->size);
-  state->hb_max =
-      std::clamp<int64_t>(state->hb_max, state->hb_min, state->size);
-  state->defined_region = state->CanvasBounds();
-  return Status::OK();
+  return step;
 }
 
 }  // namespace mmdb

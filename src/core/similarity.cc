@@ -7,49 +7,31 @@
 
 namespace mmdb {
 
-SimilaritySearcher::SimilaritySearcher(const AugmentedCollection* collection,
-                                       const RuleEngine* engine)
-    : collection_(collection),
-      engine_(engine),
-      resolver_(collection->MakeTargetResolver(*engine)) {}
+namespace {
 
-Result<std::pair<std::vector<double>, std::vector<double>>>
-SimilaritySearcher::AllBinBounds(const EditedImageInfo& info) const {
-  const BinIndex bins = engine_->quantizer().BinCount();
-  const BinaryImageInfo* base = collection_->FindBinary(info.script.base_id);
-  if (base == nullptr) {
-    return Status::Corruption("edited image " + std::to_string(info.id) +
-                              " references missing base");
-  }
-  std::vector<double> lo(static_cast<size_t>(bins), 0.0);
-  std::vector<double> hi(static_cast<size_t>(bins), 1.0);
-  for (BinIndex bin = 0; bin < bins; ++bin) {
-    MMDB_ASSIGN_OR_RETURN(
-        FractionBounds bounds,
-        ComputeBounds(*engine_, info.script, bin, base->histogram.Count(bin),
-                      base->width, base->height, resolver_));
-    lo[static_cast<size_t>(bin)] = bounds.min_fraction;
-    hi[static_cast<size_t>(bin)] = bounds.max_fraction;
-  }
-  return std::make_pair(std::move(lo), std::move(hi));
-}
-
-SimilarityMatch SimilaritySearcher::DistanceInterval(
-    ObjectId id, const std::vector<double>& query_fractions,
-    const std::vector<double>& lo, const std::vector<double>& hi) {
+/// The interval L1 distance between `query_fractions` and per-bin
+/// fraction bounds `bounds_of(i)` — one implementation for
+/// `DistanceInterval`'s vectors and the stored rows the scans read.
+template <typename BoundsOf>
+SimilarityMatch IntervalDistance(ObjectId id,
+                                 const std::vector<double>& query_fractions,
+                                 const BoundsOf& bounds_of) {
   SimilarityMatch match;
   match.id = id;
   for (size_t i = 0; i < query_fractions.size(); ++i) {
     const double q = query_fractions[i];
+    const FractionBounds bounds = bounds_of(i);
+    const double lo = bounds.min_fraction;
+    const double hi = bounds.max_fraction;
     // Per-bin |x - q| is minimized at the interval point closest to q and
     // maximized at the farthest endpoint.
     double bin_lo = 0.0;
-    if (q < lo[i]) {
-      bin_lo = lo[i] - q;
-    } else if (q > hi[i]) {
-      bin_lo = q - hi[i];
+    if (q < lo) {
+      bin_lo = lo - q;
+    } else if (q > hi) {
+      bin_lo = q - hi;
     }
-    const double bin_hi = std::max(std::fabs(q - lo[i]), std::fabs(q - hi[i]));
+    const double bin_hi = std::max(std::fabs(q - lo), std::fabs(q - hi));
     match.distance_lo += bin_lo;
     match.distance_hi += bin_hi;
   }
@@ -60,10 +42,59 @@ SimilarityMatch SimilaritySearcher::DistanceInterval(
   return match;
 }
 
+}  // namespace
+
+SimilaritySearcher::SimilaritySearcher(const AugmentedCollection* collection,
+                                       const RuleEngine* engine)
+    : collection_(collection), engine_(engine) {}
+
+Result<std::pair<std::vector<double>, std::vector<double>>>
+SimilaritySearcher::AllBinBounds(const EditedImageInfo& info) const {
+  const IntervalRowView row = collection_->RowOf(info);
+  const size_t bins = static_cast<size_t>(engine_->quantizer().BinCount());
+  std::vector<double> lo(bins, 0.0);
+  std::vector<double> hi(bins, 1.0);
+  for (size_t bin = 0; bin < bins; ++bin) {
+    const FractionBounds bounds = row.Fraction(static_cast<BinIndex>(bin));
+    lo[bin] = bounds.min_fraction;
+    hi[bin] = bounds.max_fraction;
+  }
+  return std::make_pair(std::move(lo), std::move(hi));
+}
+
+SimilarityMatch SimilaritySearcher::DistanceInterval(
+    ObjectId id, const std::vector<double>& query_fractions,
+    const std::vector<double>& lo, const std::vector<double>& hi) {
+  return IntervalDistance(id, query_fractions, [&](size_t i) {
+    return FractionBounds{lo[i], hi[i]};
+  });
+}
+
+Status SimilaritySearcher::CheckArity(const ColorHistogram& query) const {
+  if (query.BinCount() != engine_->quantizer().BinCount()) {
+    return Status::InvalidArgument(
+        "similarity query histogram has " + std::to_string(query.BinCount()) +
+        " bins; the stored rows have " +
+        std::to_string(engine_->quantizer().BinCount()));
+  }
+  return Status::OK();
+}
+
+SimilarityMatch SimilaritySearcher::EditedDistance(
+    const EditedImageInfo& edited, const std::vector<double>& query_fractions,
+    QueryStats* stats) const {
+  const IntervalRowView row = collection_->RowOf(edited);
+  if (stats != nullptr) ++stats->edited_images_bounded;
+  return IntervalDistance(edited.id, query_fractions, [&row](size_t i) {
+    return row.Fraction(static_cast<BinIndex>(i));
+  });
+}
+
 Result<std::vector<SimilarityMatch>> SimilaritySearcher::Knn(
     const ColorHistogram& query, size_t k, QueryStats* stats,
     const QueryContext& context) const {
   CancelCheck check(context);
+  MMDB_RETURN_IF_ERROR(CheckArity(query));
   const std::vector<double> query_fractions = query.Normalized();
   std::vector<SimilarityMatch> all;
   all.reserve(collection_->BinaryCount() + collection_->EditedCount());
@@ -79,18 +110,9 @@ Result<std::vector<SimilarityMatch>> SimilaritySearcher::Knn(
     all.push_back(match);
     if (stats != nullptr) ++stats->binary_images_checked;
   }
-  for (ObjectId id : collection_->edited_ids()) {
+  for (const EditedImageInfo* edited : collection_->edited_infos()) {
     MMDB_RETURN_IF_ERROR(check.Check());
-    const EditedImageInfo* edited = collection_->FindEdited(id);
-    MMDB_ASSIGN_OR_RETURN(auto bounds, AllBinBounds(*edited));
-    all.push_back(
-        DistanceInterval(id, query_fractions, bounds.first, bounds.second));
-    if (stats != nullptr) {
-      ++stats->edited_images_bounded;
-      stats->rules_applied +=
-          static_cast<int64_t>(edited->script.ops.size()) *
-          engine_->quantizer().BinCount();
-    }
+    all.push_back(EditedDistance(*edited, query_fractions, stats));
   }
 
   // The k-th best *guaranteed* (upper-bound) distance caps the candidate
@@ -126,6 +148,7 @@ Result<SimilaritySearcher::RangeAnswer> SimilaritySearcher::WithinDistance(
   if (radius < 0.0) {
     return Status::InvalidArgument("similarity radius must be >= 0");
   }
+  MMDB_RETURN_IF_ERROR(CheckArity(query));
   const std::vector<double> query_fractions = query.Normalized();
   RangeAnswer answer;
 
@@ -147,17 +170,8 @@ Result<SimilaritySearcher::RangeAnswer> SimilaritySearcher::WithinDistance(
     classify(match);
     if (stats != nullptr) ++stats->binary_images_checked;
   }
-  for (ObjectId id : collection_->edited_ids()) {
-    const EditedImageInfo* edited = collection_->FindEdited(id);
-    MMDB_ASSIGN_OR_RETURN(auto bounds, AllBinBounds(*edited));
-    classify(
-        DistanceInterval(id, query_fractions, bounds.first, bounds.second));
-    if (stats != nullptr) {
-      ++stats->edited_images_bounded;
-      stats->rules_applied +=
-          static_cast<int64_t>(edited->script.ops.size()) *
-          engine_->quantizer().BinCount();
-    }
+  for (const EditedImageInfo* edited : collection_->edited_infos()) {
+    classify(EditedDistance(*edited, query_fractions, stats));
   }
   auto by_distance = [](const SimilarityMatch& a, const SimilarityMatch& b) {
     if (a.distance_lo != b.distance_lo) {

@@ -16,9 +16,10 @@ namespace mmdb {
 /// extension the paper lists as future work (Section 6).
 ///
 /// Binary images are ranked by exact L1 histogram distance. For edited
-/// images the searcher folds the Table 1 rules once per histogram bin to
-/// get per-bin fraction intervals, then derives a provable interval
-/// [distance_lo, distance_hi] on the L1 distance. The k-NN result is the
+/// images the searcher reads the per-bin fraction intervals from the
+/// stored interval row (the Table 1 rules folded once per image at
+/// insert), then derives a provable interval [distance_lo, distance_hi]
+/// on the L1 distance. The k-NN result is the
 /// candidate set that provably contains the true k nearest images:
 /// every image whose optimistic distance does not exceed the k-th best
 /// guaranteed distance.
@@ -28,8 +29,9 @@ class SimilaritySearcher {
   SimilaritySearcher(const AugmentedCollection* collection,
                      const RuleEngine* engine);
 
-  /// Per-bin fraction intervals for an edited image (one BOUNDS fold per
-  /// bin).
+  /// Per-bin fraction intervals for an edited image of the searcher's
+  /// collection, read from its stored interval row (InvalidArgument when
+  /// it has none).
   Result<std::pair<std::vector<double>, std::vector<double>>> AllBinBounds(
       const EditedImageInfo& info) const;
 
@@ -40,7 +42,8 @@ class SimilaritySearcher {
       const std::vector<double>& lo, const std::vector<double>& hi);
 
   /// k-NN candidate search (see class comment). Results are sorted by
-  /// optimistic distance; `stats` counts the rule work performed.
+  /// optimistic distance; `stats` counts the images examined
+  /// (`edited_images_bounded` = row comparisons; no rules are applied).
   /// `context` (when limited) is honored cooperatively at per-image
   /// boundaries, same contract as the range-query processors.
   Result<std::vector<SimilarityMatch>> Knn(
@@ -64,9 +67,17 @@ class SimilaritySearcher {
                                      QueryStats* stats = nullptr) const;
 
  private:
+  /// InvalidArgument unless `query` has the quantizer's bin count (the
+  /// rows' arity).
+  Status CheckArity(const ColorHistogram& query) const;
+
+  /// Distance interval of an edited image, from its stored row.
+  SimilarityMatch EditedDistance(
+      const EditedImageInfo& edited,
+      const std::vector<double>& query_fractions, QueryStats* stats) const;
+
   const AugmentedCollection* collection_;
   const RuleEngine* engine_;
-  TargetBoundsResolver resolver_;
 };
 
 }  // namespace mmdb

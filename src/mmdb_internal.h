@@ -14,13 +14,14 @@
 /// `QueryRequest` and return the same `QueryResult`.
 
 // The access-path processors (instantiate, RBM, BWM, indexed BWM,
-// parallel RBM, planned) and the machinery they share. Reach them
+// parallel RBM, planned, interval) and the machinery they share. Reach them
 // through `QueryService` / `MultimediaDatabase::RunRange` — direct
 // construction is deprecated as public API.
 #include "core/bounds.h"
 #include "core/bwm.h"
 #include "core/executor.h"
 #include "core/instantiate.h"
+#include "core/interval.h"
 #include "core/parallel.h"
 #include "core/plan.h"
 #include "core/query_processor.h"

@@ -81,6 +81,8 @@ uint8_t QueryMethodToWire(QueryMethod method) {
       return 4;
     case QueryMethod::kPlanned:
       return 5;
+    case QueryMethod::kInterval:
+      return 6;
   }
   return 0xff;  // Unreachable for valid enum values.
 }
@@ -99,6 +101,8 @@ Result<QueryMethod> QueryMethodFromWire(uint8_t wire_method) {
       return QueryMethod::kParallelRbm;
     case 5:
       return QueryMethod::kPlanned;
+    case 6:
+      return QueryMethod::kInterval;
     default:
       return Status::InvalidArgument("unknown query method code " +
                                      std::to_string(wire_method) +

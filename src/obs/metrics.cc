@@ -182,7 +182,10 @@ double Histogram::Snapshot::Percentile(double q) const {
       const double upper = bounds[b];
       const double within =
           (rank - static_cast<double>(cumulative)) / in_bucket;
-      return lower + (upper - lower) * std::clamp(within, 0.0, 1.0);
+      // Interpolation assumes the bucket is filled up to its upper bound;
+      // no estimate may exceed what was actually observed.
+      return std::clamp(
+          lower + (upper - lower) * std::clamp(within, 0.0, 1.0), 0.0, max);
     }
     cumulative += in_bucket;
   }

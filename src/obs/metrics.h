@@ -168,7 +168,8 @@ class Histogram {
 
     double mean() const { return count > 0 ? sum / count : 0.0; }
     /// Prometheus-style quantile estimate (linear interpolation within
-    /// the owning bucket; the overflow bucket reports `max`).
+    /// the owning bucket; the overflow bucket reports `max`), clamped to
+    /// [0, max] so it never exceeds the largest observed value.
     double Percentile(double q) const;
   };
   Snapshot Snap() const;

@@ -73,6 +73,7 @@ bool ScansAllBinaries(QueryMethod method) {
     case QueryMethod::kRbm:
     case QueryMethod::kBwm:
     case QueryMethod::kParallelRbm:
+    case QueryMethod::kInterval:
       return true;
     case QueryMethod::kBwmIndexed:
     case QueryMethod::kPlanned:
@@ -81,11 +82,22 @@ bool ScansAllBinaries(QueryMethod method) {
   return false;
 }
 
+/// How often a waiting `Execute` looks at the caller's cancel token (it
+/// has no callback), matching the query server's disconnect watcher.
+constexpr std::chrono::milliseconds kCallerCancelPoll{5};
+
 }  // namespace
 
 struct Coordinator::Fanout {
   std::mutex mu;
   std::condition_variable cv;
+  /// The cancel token every attempt's request carries. The fan-out owns
+  /// it and each attempt holds the fan-out through its shared_ptr, so a
+  /// hedged or straggling attempt can still read it after `Execute` has
+  /// returned and the caller's own token is gone. Tripped when the
+  /// caller's token trips and when `Execute` returns, so losing attempts
+  /// stop at their next cancel check instead of finishing a full scan.
+  CancelToken cancel;
 
   struct Slot {
     bool done = false;
@@ -172,9 +184,14 @@ void Coordinator::LaunchAttempt(const std::shared_ptr<Fanout>& fanout,
     Result<QueryResult> result = backend->Execute(request);
     const double elapsed =
         std::chrono::duration<double>(SteadyClock::now() - start).count();
+    // An attempt stopped by the fan-out's own token was abandoned (its
+    // query already answered, or the caller gave up): not a shard fault.
+    const bool abandoned = !result.ok() &&
+                           result.status().code() == StatusCode::kCancelled &&
+                           fanout->cancel.Cancelled();
     if (result.ok()) {
       health_.RecordSuccess(shard, elapsed);
-    } else {
+    } else if (!abandoned) {
       health_.RecordFailure(shard);
       shard_failures_.fetch_add(1, std::memory_order_relaxed);
       Metrics().shard_failures->Increment();
@@ -215,6 +232,7 @@ Result<ShardedResult> Coordinator::Execute(const QueryRequest& request) {
     Fanout::Slot& slot = fanout->slots[shard];
     slot.deadline = shard_deadline;
     slot.request = ShardRequest(request, shard, shard_deadline);
+    slot.request.cancel = &fanout->cancel;
     if (!health_.AllowDispatch(shard)) {
       slot.done = true;
       slot.result = Status::Unavailable(
@@ -236,6 +254,13 @@ Result<ShardedResult> Coordinator::Execute(const QueryRequest& request) {
   for (;;) {
     const auto now = SteadyClock::now();
     auto next_wake = SteadyClock::time_point::max();
+    if (request.cancel != nullptr && !fanout->cancel.Cancelled()) {
+      if (request.cancel->Cancelled()) {
+        fanout->cancel.Cancel();
+      } else {
+        next_wake = now + kCallerCancelPoll;
+      }
+    }
     for (size_t shard = 0; shard < shards; ++shard) {
       Fanout::Slot& slot = fanout->slots[shard];
       if (slot.done) continue;
@@ -299,6 +324,8 @@ Result<ShardedResult> Coordinator::Execute(const QueryRequest& request) {
     }
   }
   lock.unlock();
+  // Every slot is final; attempts still running can only lose.
+  fanout->cancel.Cancel();
 
   Result<ShardedResult> merged = Merge(request, *fanout);
   if (merged.ok() && !merged->complete) {

@@ -77,6 +77,12 @@ struct ShardedResult {
 ///  * a shard that has not answered after its hedge delay (p99-priced)
 ///    gets a second, hedged attempt on its next replica; first answer
 ///    wins, the loser is abandoned (its late write is discarded).
+///  * every attempt carries a cancel token the fan-out owns (never the
+///    caller's, which may be freed once `Execute` returns). It trips
+///    when the caller's token does (polled every 5 ms) and when
+///    `Execute` returns, so abandoned attempts stop at their next cancel
+///    check. An abandoned attempt is not a shard failure: it touches
+///    neither the failure counters nor the breaker.
 ///  * a shard that fails fast is retried immediately while attempts
 ///    remain; a shard whose breaker is open is skipped with
 ///    `Unavailable` without consuming its cooldown probe.

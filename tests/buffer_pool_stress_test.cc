@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <map>
+#include <string>
 
 #include "storage/buffer_pool.h"
 #include "util/random.h"
@@ -16,7 +17,9 @@ namespace {
 class BufferPoolStress : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/mmdb_bp_stress.db";
+    // One file per seed: ctest runs the seeds as concurrent processes.
+    path_ = ::testing::TempDir() + "/mmdb_bp_stress_" +
+            std::to_string(GetParam()) + ".db";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

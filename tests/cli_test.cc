@@ -3,6 +3,7 @@
 // delete — run through the real executable against a real database file.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +26,10 @@ class CliTest : public ::testing::Test {
     if (std::string(MMDB_CLI_PATH).empty()) {
       GTEST_SKIP() << "mmdb_cli binary path not configured";
     }
-    dir_ = ::testing::TempDir() + "/mmdb_cli_e2e";
+    // One directory per test process: ctest runs each case as its own
+    // process, concurrently under -j.
+    dir_ = ::testing::TempDir() + "/mmdb_cli_e2e_" +
+           std::to_string(::getpid());
     std::system(("rm -rf '" + dir_ + "' && mkdir -p '" + dir_ + "'").c_str());
     db_ = dir_ + "/cli.mmdb";
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/collection.h"
+#include "core/database.h"
 #include "core/histogram.h"
 
 namespace mmdb {
@@ -24,10 +25,21 @@ EditedImageInfo MakeEdited(ObjectId id, ObjectId base_id) {
   return info;
 }
 
+/// Registers `info` with its folded interval row, as the facade does.
+/// When the fold fails (no such base), the row passed is empty, which
+/// `AddEdited` never reads: it refuses the image for the missing base.
+Status AddEdited(AugmentedCollection& collection, EditedImageInfo info) {
+  static const ColorQuantizer quantizer(4);
+  static const RuleEngine engine(quantizer);
+  Result<IntervalRow> row = collection.FoldRow(engine, info.script);
+  return collection.AddEdited(std::move(info),
+                              row.ok() ? *row : IntervalRow{});
+}
+
 TEST(CollectionTest, AddAndFind) {
   AugmentedCollection collection;
   ASSERT_TRUE(collection.AddBinary(MakeBinary(1, colors::kRed)).ok());
-  ASSERT_TRUE(collection.AddEdited(MakeEdited(2, 1)).ok());
+  ASSERT_TRUE(AddEdited(collection, MakeEdited(2, 1)).ok());
   EXPECT_NE(collection.FindBinary(1), nullptr);
   EXPECT_EQ(collection.FindBinary(2), nullptr);
   EXPECT_NE(collection.FindEdited(2), nullptr);
@@ -40,7 +52,7 @@ TEST(CollectionTest, RejectsZeroIds) {
   AugmentedCollection collection;
   EXPECT_EQ(collection.AddBinary(MakeBinary(0, colors::kRed)).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(collection.AddEdited(MakeEdited(0, 1)).code(),
+  EXPECT_EQ(AddEdited(collection, MakeEdited(0, 1)).code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -49,8 +61,8 @@ TEST(CollectionTest, RejectsDuplicateIdsAcrossKinds) {
   ASSERT_TRUE(collection.AddBinary(MakeBinary(1, colors::kRed)).ok());
   EXPECT_EQ(collection.AddBinary(MakeBinary(1, colors::kBlue)).code(),
             StatusCode::kAlreadyExists);
-  ASSERT_TRUE(collection.AddEdited(MakeEdited(2, 1)).ok());
-  EXPECT_EQ(collection.AddEdited(MakeEdited(2, 1)).code(),
+  ASSERT_TRUE(AddEdited(collection, MakeEdited(2, 1)).ok());
+  EXPECT_EQ(AddEdited(collection, MakeEdited(2, 1)).code(),
             StatusCode::kAlreadyExists);
   EXPECT_EQ(collection.AddBinary(MakeBinary(2, colors::kRed)).code(),
             StatusCode::kAlreadyExists);
@@ -58,7 +70,7 @@ TEST(CollectionTest, RejectsDuplicateIdsAcrossKinds) {
 
 TEST(CollectionTest, EditedRequiresStoredBase) {
   AugmentedCollection collection;
-  EXPECT_EQ(collection.AddEdited(MakeEdited(2, 1)).code(),
+  EXPECT_EQ(AddEdited(collection, MakeEdited(2, 1)).code(),
             StatusCode::kNotFound);
 }
 
@@ -66,9 +78,9 @@ TEST(CollectionTest, MaintainsConnections) {
   AugmentedCollection collection;
   ASSERT_TRUE(collection.AddBinary(MakeBinary(1, colors::kRed)).ok());
   ASSERT_TRUE(collection.AddBinary(MakeBinary(2, colors::kBlue)).ok());
-  ASSERT_TRUE(collection.AddEdited(MakeEdited(3, 1)).ok());
-  ASSERT_TRUE(collection.AddEdited(MakeEdited(4, 1)).ok());
-  ASSERT_TRUE(collection.AddEdited(MakeEdited(5, 2)).ok());
+  ASSERT_TRUE(AddEdited(collection, MakeEdited(3, 1)).ok());
+  ASSERT_TRUE(AddEdited(collection, MakeEdited(4, 1)).ok());
+  ASSERT_TRUE(AddEdited(collection, MakeEdited(5, 2)).ok());
   EXPECT_EQ(collection.EditedOf(1), (std::vector<ObjectId>{3, 4}));
   EXPECT_EQ(collection.EditedOf(2), std::vector<ObjectId>{5});
   EXPECT_TRUE(collection.EditedOf(99).empty());
@@ -106,7 +118,7 @@ TEST(CollectionTest, TargetResolverRecursesThroughEditedTargets) {
   edited.id = 2;
   edited.script.base_id = 1;
   edited.script.ops.emplace_back(ModifyOp{colors::kRed, colors::kBlue});
-  ASSERT_TRUE(collection.AddEdited(edited).ok());
+  ASSERT_TRUE(AddEdited(collection, edited).ok());
 
   const RuleEngine engine(quantizer);
   const TargetBoundsResolver resolver =
@@ -118,6 +130,46 @@ TEST(CollectionTest, TargetResolverRecursesThroughEditedTargets) {
   EXPECT_EQ(bounds->hb_min, 0);
   EXPECT_EQ(bounds->hb_max, 36);
   EXPECT_EQ(bounds->size, 36);
+}
+
+// Regression: the resolver used to capture a shared_ptr to itself, so
+// every resolver — one per kRbm / kBwm processor, i.e. per query — leaked.
+// LeakSanitizer (the CI address-sanitizer job) reports any resolver this
+// test leaves behind, including those recursing through edited targets.
+TEST(CollectionTest, TargetResolversAreReleased) {
+  const ColorQuantizer quantizer(4);
+  AugmentedCollection collection;
+  ASSERT_TRUE(collection.AddBinary(MakeBinary(1, colors::kRed, 6)).ok());
+  ASSERT_TRUE(AddEdited(collection, MakeEdited(2, 1)).ok());
+  EditedImageInfo merging;
+  merging.id = 3;
+  merging.script.base_id = 1;
+  MergeOp into_edited;
+  into_edited.target = 2;
+  merging.script.ops.emplace_back(into_edited);
+  ASSERT_TRUE(AddEdited(collection, merging).ok());
+  const RuleEngine engine(quantizer);
+  for (int i = 0; i < 8; ++i) {
+    const TargetBoundsResolver resolver =
+        collection.MakeTargetResolver(engine);
+    ASSERT_TRUE(resolver(3, quantizer.BinOf(colors::kBlue)).ok());
+  }
+
+  auto db = MultimediaDatabase::Open().value();
+  const ObjectId base =
+      db->InsertBinaryImage(Image(6, 6, colors::kRed)).value();
+  EditScript recolor;
+  recolor.base_id = base;
+  recolor.ops.emplace_back(ModifyOp{colors::kRed, colors::kBlue});
+  EditScript merge = recolor;
+  into_edited.target = db->InsertEditedImage(recolor).value();
+  merge.ops.emplace_back(into_edited);
+  ASSERT_TRUE(db->InsertEditedImage(merge).ok());
+  RangeQuery query;
+  query.bin = db->BinOf(colors::kBlue);
+  for (QueryMethod method : {QueryMethod::kRbm, QueryMethod::kBwm}) {
+    for (int i = 0; i < 4; ++i) ASSERT_TRUE(db->RunRange(query, method).ok());
+  }
 }
 
 TEST(CollectionTest, TargetResolverReportsMissingTarget) {

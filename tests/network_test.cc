@@ -445,7 +445,8 @@ TEST_F(LoopbackTest, RemoteResultsAreBitIdenticalToEmbeddedForEveryMethod) {
   Rng rng(123);
   for (QueryMethod method :
        {QueryMethod::kInstantiate, QueryMethod::kRbm, QueryMethod::kBwm,
-        QueryMethod::kBwmIndexed, QueryMethod::kParallelRbm}) {
+        QueryMethod::kBwmIndexed, QueryMethod::kParallelRbm,
+        QueryMethod::kInterval}) {
     for (int round = 0; round < 4; ++round) {
       QueryRequest request = RandomRequest(rng, /*allow_similarity=*/false);
       request.method = method;

@@ -79,6 +79,21 @@ TEST(RegistryTest, PercentileInterpolatesWithinBucket) {
   EXPECT_DOUBLE_EQ(histogram.Snap().Percentile(1.0), 100.0);
 }
 
+TEST(RegistryTest, PercentileNeverExceedsTheObservedMax) {
+  // Every record lands in the (1, 100] bucket, far below its upper
+  // bound; interpolation alone would put p95 near 95.
+  Histogram histogram({1.0, 100.0});
+  for (int i = 0; i < 20; ++i) histogram.Record(2.0 + 0.1 * i);
+  const Histogram::Snapshot snap = histogram.Snap();
+  EXPECT_DOUBLE_EQ(snap.max, 3.9);
+  for (double q : {0.5, 0.95, 0.99, 1.0}) {
+    const double estimate = snap.Percentile(q);
+    EXPECT_GE(estimate, 0.0) << "q=" << q;
+    EXPECT_LE(estimate, snap.max) << "q=" << q;
+  }
+  EXPECT_DOUBLE_EQ(snap.Percentile(0.95), snap.max);
+}
+
 TEST(RegistryTest, ResetZeroesEveryInstrument) {
   Registry registry;
   Counter* counter = registry.GetCounter("mmdb_reset_total", "help");

@@ -119,6 +119,21 @@ TEST(QueryPlannerTest, GoldenDriverMethodOnBothSidesOfTheCrossover) {
   EXPECT_NE(broad.driver().method, QueryMethod::kInstantiate);
 }
 
+TEST(QueryPlannerTest, GoldenStoredRowsDriveOverEditedImages) {
+  // 70% edited, so a Main-cluster BWM scan still folds rules for the
+  // Unclassified share while a stored-row comparison costs one probe per
+  // image: the planner must drive with kInterval, selective or broad.
+  auto db = MakeAugmentedDataset(60, 3315);
+  const QueryPlanner planner(*db);
+  for (double min_fraction : {0.0, 0.5, 0.95}) {
+    const QueryPlan plan =
+        planner.PlanRange(AtLeast(db->BinOf(colors::kBlue), min_fraction));
+    ASSERT_EQ(plan.steps.size(), 1u);
+    EXPECT_EQ(plan.driver().method, QueryMethod::kInterval) << min_fraction;
+    EXPECT_NE(plan.Explain().find("method interval"), std::string::npos);
+  }
+}
+
 TEST(QueryPlannerTest, ConjunctsAreOrderedMostSelectiveFirst) {
   auto db = MakeSkewedBinaryDataset();
   const QueryPlanner planner(*db);
@@ -165,6 +180,39 @@ TEST(PlannedProcessorTest, PlannedResultsAreSetEqualToUnplanned) {
     ASSERT_TRUE(rbm.ok());
     EXPECT_EQ(Sorted(planned->ids), Sorted(rbm->ids)) << window.ToString();
   }
+}
+
+TEST(PlannedProcessorTest, ResidualFilterReadsRowsBehindAnIndexedDriver) {
+  // Two edited images of a red base on the skewed corpus: the red
+  // conjunct stays selective enough for the R-tree to drive, so the
+  // blue conjunct runs as a residual filter over edited survivors, read
+  // from their stored rows. Recoloring red to blue may fill the blue bin;
+  // recoloring red to green leaves it empty.
+  auto db = MakeSkewedBinaryDataset();
+  const ObjectId red_base = db->collection().binary_ids().back();
+  EditScript may_turn_blue;
+  may_turn_blue.base_id = red_base;
+  may_turn_blue.ops.emplace_back(ModifyOp{colors::kRed, colors::kBlue});
+  EditScript turns_green;
+  turns_green.base_id = red_base;
+  turns_green.ops.emplace_back(ModifyOp{colors::kRed, colors::kGreen});
+  const ObjectId kept = db->InsertEditedImage(may_turn_blue).value();
+  const ObjectId dropped = db->InsertEditedImage(turns_green).value();
+
+  ConjunctiveQuery query;
+  query.conjuncts.push_back(AtLeast(db->BinOf(colors::kRed), 0.5));
+  query.conjuncts.push_back(AtLeast(db->BinOf(colors::kBlue), 0.5));
+  const QueryPlan plan = QueryPlanner(*db).PlanConjunctive(query);
+  ASSERT_EQ(plan.driver().method, QueryMethod::kBwmIndexed);
+  ASSERT_EQ(plan.driver().predicate.bin, db->BinOf(colors::kRed));
+
+  const auto planned = db->RunConjunctive(query, QueryMethod::kPlanned);
+  const auto rbm = db->RunConjunctive(query, QueryMethod::kRbm);
+  ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+  ASSERT_TRUE(rbm.ok());
+  EXPECT_EQ(rbm->ids, std::vector<ObjectId>{kept});
+  EXPECT_EQ(Sorted(planned->ids), Sorted(rbm->ids));
+  EXPECT_EQ(std::count(planned->ids.begin(), planned->ids.end(), dropped), 0);
 }
 
 TEST(PlannedProcessorTest, EmptyConjunctionIsRejected) {
@@ -238,6 +286,7 @@ TEST(ExplainQueryTest, RendersSimilarityScanShape) {
   EXPECT_NE(plan->find("similarity scan"), std::string::npos);
   EXPECT_NE(plan->find("nearest("), std::string::npos);
   EXPECT_NE(plan->find("no false negatives"), std::string::npos);
+  EXPECT_NE(plan->find("stored interval rows"), std::string::npos);
 
   SimilarityQuery bad = query;
   bad.histogram = ColorHistogram(db->quantizer().BinCount() + 3);

@@ -14,8 +14,9 @@ namespace mmdb {
 namespace {
 
 const QueryMethod kAllMethods[] = {
-    QueryMethod::kInstantiate, QueryMethod::kRbm, QueryMethod::kBwm,
-    QueryMethod::kBwmIndexed, QueryMethod::kParallelRbm};
+    QueryMethod::kInstantiate, QueryMethod::kRbm,
+    QueryMethod::kBwm,         QueryMethod::kBwmIndexed,
+    QueryMethod::kParallelRbm, QueryMethod::kInterval};
 
 std::unique_ptr<MultimediaDatabase> MakeDataset(int total_images,
                                                 uint64_t seed) {

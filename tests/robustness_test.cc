@@ -304,8 +304,9 @@ TEST(ExecutorShutdownTest, FullQueueDrainsCompletelyOnShutdown) {
 // --- Cooperative cancellation through the processors -------------------
 
 const QueryMethod kAllMethods[] = {
-    QueryMethod::kInstantiate, QueryMethod::kRbm, QueryMethod::kBwm,
-    QueryMethod::kBwmIndexed, QueryMethod::kParallelRbm};
+    QueryMethod::kInstantiate, QueryMethod::kRbm,
+    QueryMethod::kBwm,         QueryMethod::kBwmIndexed,
+    QueryMethod::kParallelRbm, QueryMethod::kInterval};
 
 TEST(CancellationTest, PreCancelledTokenStopsEveryMethodPromptly) {
   auto db = MakeDataset(60, 7001);

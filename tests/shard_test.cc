@@ -25,7 +25,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -131,7 +133,8 @@ void ExpectSameStats(const QueryStats& a, const QueryStats& b,
 /// deterministic (but different) order.
 bool IsScanOrderMethod(QueryMethod method) {
   return method == QueryMethod::kInstantiate || method == QueryMethod::kRbm ||
-         method == QueryMethod::kParallelRbm;
+         method == QueryMethod::kParallelRbm ||
+         method == QueryMethod::kInterval;
 }
 
 void ExpectSameMatches(const std::vector<SimilarityMatch>& a,
@@ -314,7 +317,8 @@ TEST(CoordinatorEquivalenceTest, EveryMethodBitIdenticalToSingleStore) {
   Rng rng(123);
   for (QueryMethod method :
        {QueryMethod::kInstantiate, QueryMethod::kRbm, QueryMethod::kBwm,
-        QueryMethod::kBwmIndexed, QueryMethod::kParallelRbm}) {
+        QueryMethod::kBwmIndexed, QueryMethod::kParallelRbm,
+        QueryMethod::kInterval}) {
     for (int round = 0; round < 4; ++round) {
       QueryRequest request;
       if (round % 2 == 0) {
@@ -772,6 +776,194 @@ TEST(FailureEnvelopeTest, HedgeToReplicaBeatsAStalledPrimary) {
   const Coordinator::Stats stats = coordinator.stats();
   EXPECT_GE(stats.hedges_launched, 1);
   EXPECT_GE(stats.hedge_wins, 1);
+}
+
+/// Stalls every Execute, then records what the attempt's cancel token
+/// said when it woke and how the wrapped backend answered (last attempt).
+class ObservingStallBackend : public ShardBackend {
+ public:
+  ObservingStallBackend(std::unique_ptr<ShardBackend> inner, double seconds)
+      : inner_(std::move(inner)), seconds_(seconds) {}
+  Result<QueryResult> Execute(const QueryRequest& request) override {
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds_));
+    const bool cancelled =
+        request.cancel != nullptr && request.cancel->Cancelled();
+    Result<QueryResult> result = inner_->Execute(request);
+    std::lock_guard<std::mutex> lock(mu_);
+    woke_cancelled_ = cancelled;
+    answer_ = result.status().code();
+    ++finished_;
+    cv_.notify_all();
+    return result;
+  }
+  Status Probe() override { return inner_->Probe(); }
+  std::string name() const override { return "observed:" + inner_->name(); }
+
+  /// Waits (bounded) until `count` stalled attempts have finished.
+  bool WaitFinished(double seconds, int count = 1) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::duration<double>(seconds),
+                        [this, count] { return finished_ >= count; });
+  }
+  bool woke_cancelled() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return woke_cancelled_;
+  }
+  StatusCode answer() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return answer_;
+  }
+
+ private:
+  std::unique_ptr<ShardBackend> inner_;
+  double seconds_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int finished_ = 0;
+  bool woke_cancelled_ = false;
+  StatusCode answer_ = StatusCode::kOk;
+};
+
+TEST(FailureEnvelopeTest, StalledHedgeLoserOutlivesTheRpc) {
+  // The served path frees its per-RPC disconnect token as soon as the
+  // coordinator answers; the hedged-out primary is still asleep then and
+  // reads its request's cancel token afterwards. That token must be the
+  // fan-out's own (alive, and tripped because the RPC returned), never
+  // the freed one — AddressSanitizer reports the read otherwise.
+  auto single = BuildSingleStore(60, 43);
+  QueryService embedded(single.get());
+  ShardedDatabaseOptions sharded_options;
+  sharded_options.shards = 2;
+  auto sharded = ShardedDatabase::Open(sharded_options).value();
+  ASSERT_TRUE(shard::MirrorDatabase(*single, sharded.get()).ok());
+  std::vector<std::unique_ptr<QueryService>> services;
+  for (size_t s = 0; s < 2; ++s) {
+    services.push_back(std::make_unique<QueryService>(sharded->shard(s)));
+  }
+  std::vector<std::vector<std::unique_ptr<ShardBackend>>> backends(2);
+  auto stalled = std::make_unique<ObservingStallBackend>(
+      std::make_unique<LocalShardBackend>(services[0].get(),
+                                          &sharded->catalog(), 0),
+      0.3);
+  ObservingStallBackend* loser = stalled.get();
+  backends[0].push_back(std::move(stalled));
+  backends[0].push_back(std::make_unique<LocalShardBackend>(
+      services[0].get(), &sharded->catalog(), 0));
+  backends[1].push_back(std::make_unique<LocalShardBackend>(
+      services[1].get(), &sharded->catalog(), 1));
+  CoordinatorOptions options;
+  options.hedge_delay_seconds = 0.02;
+  Coordinator coordinator(std::move(backends), &sharded->catalog(), options);
+
+  QueryService front_service(single.get());
+  net::QueryServer front(single.get(), &front_service);
+  front.AttachCoordinator(&coordinator);
+  ASSERT_TRUE(front.Start().ok());
+  net::Client client =
+      net::Client::Connect("127.0.0.1", front.port()).value();
+  const QueryRequest request = MatchAll(QueryMethod::kInterval);
+  net::Completeness completeness;
+  const Result<QueryResult> served = client.Execute(request, &completeness);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(completeness.complete);
+  EXPECT_EQ(testing::AsSet(served->ids),
+            testing::AsSet(embedded.Execute(request)->ids));
+
+  // The RPC is over; the loser wakes only now.
+  ASSERT_TRUE(loser->WaitFinished(5.0));
+  EXPECT_TRUE(loser->woke_cancelled());
+  EXPECT_EQ(loser->answer(), StatusCode::kCancelled);
+  front.Stop();
+}
+
+TEST(FailureEnvelopeTest, CancelledHedgeLosersAreNotShardFailures) {
+  // Every query's primary on shard 0 stalls past the hedge delay, the
+  // replica wins, and the primary wakes to the fan-out's tripped token.
+  // An abandoned attempt is no evidence against the shard: more losers
+  // in a row than the breaker's threshold must leave it closed.
+  auto single = BuildSingleStore(60, 53);
+  ShardedDatabaseOptions sharded_options;
+  sharded_options.shards = 2;
+  auto sharded = ShardedDatabase::Open(sharded_options).value();
+  ASSERT_TRUE(shard::MirrorDatabase(*single, sharded.get()).ok());
+  std::vector<std::unique_ptr<QueryService>> services;
+  for (size_t s = 0; s < 2; ++s) {
+    services.push_back(std::make_unique<QueryService>(sharded->shard(s)));
+  }
+  std::vector<std::vector<std::unique_ptr<ShardBackend>>> backends(2);
+  auto stalled = std::make_unique<ObservingStallBackend>(
+      std::make_unique<LocalShardBackend>(services[0].get(),
+                                          &sharded->catalog(), 0),
+      0.1);
+  ObservingStallBackend* loser = stalled.get();
+  backends[0].push_back(std::move(stalled));
+  backends[0].push_back(std::make_unique<LocalShardBackend>(
+      services[0].get(), &sharded->catalog(), 0));
+  backends[1].push_back(std::make_unique<LocalShardBackend>(
+      services[1].get(), &sharded->catalog(), 1));
+  CoordinatorOptions options;
+  options.hedge_delay_seconds = 0.01;
+  Coordinator coordinator(std::move(backends), &sharded->catalog(), options);
+
+  const int queries = options.health.failure_threshold + 1;
+  for (int i = 0; i < queries; ++i) {
+    const Result<ShardedResult> fanned =
+        coordinator.Execute(MatchAll(QueryMethod::kRbm));
+    ASSERT_TRUE(fanned.ok()) << fanned.status().ToString();
+    EXPECT_TRUE(fanned->complete);
+    ASSERT_TRUE(loser->WaitFinished(5.0, i + 1));
+    EXPECT_TRUE(loser->woke_cancelled());
+    EXPECT_EQ(loser->answer(), StatusCode::kCancelled);
+  }
+  // The loser's outcome is recorded just after its backend returns.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const Coordinator::Stats stats = coordinator.stats();
+  EXPECT_GE(stats.hedges_launched, queries);
+  EXPECT_EQ(stats.shard_failures, 0);
+  EXPECT_EQ(coordinator.health().StateOf(0), shard::BreakerState::kClosed);
+}
+
+TEST(FailureEnvelopeTest, CallerCancelReachesInFlightAttempts) {
+  auto single = BuildSingleStore(50, 47);
+  ShardedDatabaseOptions sharded_options;
+  sharded_options.shards = 2;
+  auto sharded = ShardedDatabase::Open(sharded_options).value();
+  ASSERT_TRUE(shard::MirrorDatabase(*single, sharded.get()).ok());
+  std::vector<std::unique_ptr<QueryService>> services;
+  for (size_t s = 0; s < 2; ++s) {
+    services.push_back(std::make_unique<QueryService>(sharded->shard(s)));
+  }
+  std::vector<std::vector<std::unique_ptr<ShardBackend>>> backends(2);
+  auto stalled = std::make_unique<ObservingStallBackend>(
+      std::make_unique<LocalShardBackend>(services[1].get(),
+                                          &sharded->catalog(), 1),
+      0.3);
+  ObservingStallBackend* observed = stalled.get();
+  backends[0].push_back(std::make_unique<LocalShardBackend>(
+      services[0].get(), &sharded->catalog(), 0));
+  backends[1].push_back(std::move(stalled));
+  CoordinatorOptions options;
+  options.max_attempts_per_shard = 1;
+  Coordinator coordinator(std::move(backends), &sharded->catalog(), options);
+
+  CancelToken caller;
+  QueryRequest request = MatchAll(QueryMethod::kRbm);
+  request.cancel = &caller;
+  std::thread canceller([&caller] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    caller.Cancel();
+  });
+  const Result<ShardedResult> fanned = coordinator.Execute(request);
+  canceller.join();
+  // The stalled shard saw the caller's cancellation through the
+  // fan-out's token and stopped at its first check.
+  ASSERT_TRUE(observed->WaitFinished(5.0));
+  EXPECT_TRUE(observed->woke_cancelled());
+  EXPECT_EQ(observed->answer(), StatusCode::kCancelled);
+  ASSERT_TRUE(fanned.ok()) << fanned.status().ToString();
+  EXPECT_FALSE(fanned->complete);
+  ASSERT_EQ(fanned->shard_errors.size(), 1u);
+  EXPECT_EQ(fanned->shard_errors[0].status.code(), StatusCode::kCancelled);
 }
 
 TEST(FailureEnvelopeTest, BreakerEjectsFlappingShardAndProbeReadmitsIt) {

@@ -11,8 +11,11 @@
 namespace mmdb {
 namespace {
 
+/// One store per test: ctest runs the tests as concurrent processes.
 std::string StorePath() {
-  return ::testing::TempDir() + "/mmdb_torture.db";
+  return ::testing::TempDir() + "/mmdb_torture_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".db";
 }
 
 void RemoveStoreFiles(const std::string& path) {

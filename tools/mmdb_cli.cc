@@ -48,7 +48,7 @@ int Usage() {
       "                               translate:dx,dy | rotate:deg[,cx,cy]\n"
       "                               | matrix:m11..m33 | merge:target,x,y\n"
       "  query <#rrggbb|bin> <min> <max> "
-      "[--method=rbm|bwm|bwmx|prbm|inst|planned]\n"
+      "[--method=rbm|bwm|bwmx|prbm|inst|planned|interval]\n"
       "  queryx \"<expr>\"             query expression, e.g.\n"
       "                               \"color('#0038a8') >= 25% and "
       "color('#ffffff') <= 10%\"\n"
@@ -150,9 +150,12 @@ int CmdQuery(MultimediaDatabase& db, const std::vector<std::string>& args) {
       method = QueryMethod::kInstantiate;
     } else if (args[i] == "--method=planned") {
       method = QueryMethod::kPlanned;
+    } else if (args[i] == "--method=interval") {
+      method = QueryMethod::kInterval;
     } else {
       std::cerr << "error: unknown option '" << args[i]
-                << "' (expected --method=rbm|bwm|bwmx|prbm|inst|planned)\n";
+                << "' (expected "
+                   "--method=rbm|bwm|bwmx|prbm|inst|planned|interval)\n";
       return 1;
     }
   }

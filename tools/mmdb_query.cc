@@ -33,7 +33,8 @@ int Usage() {
          "  --host ADDR       server address (default 127.0.0.1)\n"
          "  --port N          server port (default 7117)\n"
          "  --method NAME     instantiate | rbm | bwm | bwm-indexed |\n"
-         "                    parallel-rbm | planned (default bwm)\n"
+         "                    parallel-rbm | planned | interval\n"
+         "                    (default bwm)\n"
          "  --deadline-ms N   per-query wire deadline (default none)\n"
          "  --repeat N        send the query N times (default 1)\n"
          "  --explain         print the server's query plan, don't run\n"
@@ -86,10 +87,7 @@ int Run(int argc, char** argv) {
 
   QueryMethod method = QueryMethod::kBwm;
   bool method_found = false;
-  for (QueryMethod m :
-       {QueryMethod::kInstantiate, QueryMethod::kRbm, QueryMethod::kBwm,
-        QueryMethod::kBwmIndexed, QueryMethod::kParallelRbm,
-        QueryMethod::kPlanned}) {
+  for (QueryMethod m : kAllQueryMethods) {
     if (method_name == QueryMethodName(m)) {
       method = m;
       method_found = true;
