@@ -55,9 +55,7 @@ int Run() {
   json.Key("points").BeginArray();
   double baseline = 0.0;
   for (int threads : {1, 2, 4, 8}) {
-    const ParallelRbmQueryProcessor processor(&(*db)->collection(),
-                                              &(*db)->rule_engine(),
-                                              threads);
+    const ParallelRbmQueryProcessor processor(&(*db)->collection(), threads);
     // Warm up, then take the median of 7 rounds.
     for (const RangeQuery& query : workload) {
       if (!processor.RunRange(query).ok()) return 1;

@@ -8,12 +8,39 @@ Result<RuleState> ComputeRuleState(const RuleEngine& engine,
                                    int32_t base_height,
                                    const TargetBoundsResolver& resolver,
                                    CancelCheck* check) {
+  // Plan every operation's geometry (resolving each merge target's
+  // bounds for `hb`), then walk the planned steps for the bin.
+  struct PlannedStep {
+    RuleStep rule;
+    int64_t target_min = 0;
+    int64_t target_max = 0;
+  };
   RuleState state =
       RuleEngine::InitialState(base_hb_count, base_width, base_height);
+  std::vector<PlannedStep> steps;
+  steps.reserve(script.ops.size());
   for (const EditOp& op : script.ops) {
-    if (check != nullptr) MMDB_RETURN_IF_ERROR(check->Check());
-    MMDB_RETURN_IF_ERROR(engine.ApplyRule(op, hb, resolver, &state));
+    TargetBounds target;
+    const MergeOp* merge = std::get_if<MergeOp>(&op);
+    if (merge != nullptr && !merge->IsNullTarget()) {
+      if (!resolver) {
+        return Status::InvalidArgument(
+            "Merge rule: no target resolver for target " +
+            std::to_string(*merge->target));
+      }
+      MMDB_ASSIGN_OR_RETURN(target, resolver(*merge->target, hb));
+    }
+    steps.push_back(PlannedStep{engine.PlanRule(op, &target, &state),
+                                target.hb_min, target.hb_max});
   }
+  MMDB_RETURN_IF_ERROR(WalkRuleSteps(
+      steps.data(), steps.size(), hb,
+      [](const PlannedStep& step, int64_t* target_min, int64_t* target_max) {
+        *target_min = step.target_min;
+        *target_max = step.target_max;
+        return Status::OK();
+      },
+      check, &state.hb_min, &state.hb_max));
   return state;
 }
 
@@ -45,11 +72,11 @@ IntervalRow IntervalRow::Exact(const ColorHistogram& histogram,
   return row;
 }
 
-Result<IntervalRow> FoldIntervalRow(const RuleEngine& engine,
-                                    const EditScript& script,
-                                    const ColorHistogram& base_histogram,
-                                    int32_t base_width, int32_t base_height,
-                                    const TargetRowResolver& targets) {
+Result<FoldedScript> FoldIntervalRow(const RuleEngine& engine,
+                                     const EditScript& script,
+                                     const ColorHistogram& base_histogram,
+                                     int32_t base_width, int32_t base_height,
+                                     const TargetRowResolver& targets) {
   const size_t bins = static_cast<size_t>(base_histogram.BinCount());
   // [min, max] per bin, interleaved.
   std::vector<int64_t> bounds(2 * bins);
@@ -61,6 +88,8 @@ Result<IntervalRow> FoldIntervalRow(const RuleEngine& engine,
   // every bin shares.
   RuleState shape = RuleEngine::InitialState(0, base_width, base_height);
   IntervalRow target;
+  FoldedScript folded;
+  folded.steps.reserve(script.ops.size());
   for (const EditOp& op : script.ops) {
     const MergeOp* merge = std::get_if<MergeOp>(&op);
     const bool pastes = merge != nullptr && !merge->IsNullTarget();
@@ -76,7 +105,8 @@ Result<IntervalRow> FoldIntervalRow(const RuleEngine& engine,
       target_shape.width = target.width;
       target_shape.height = target.height;
     }
-    const RuleStep step = engine.PlanRule(op, &target_shape, &shape);
+    const RuleStep& step =
+        folded.steps.emplace_back(engine.PlanRule(op, &target_shape, &shape));
     RuleEngine::ApplyStepToBins(
         step, bins,
         [&target](size_t bin, int64_t* target_min, int64_t* target_max) {
@@ -90,7 +120,7 @@ Result<IntervalRow> FoldIntervalRow(const RuleEngine& engine,
                               std::to_string(shape.size) +
                               " pixels; interval rows hold at most 2^32 - 1");
   }
-  IntervalRow row;
+  IntervalRow& row = folded.row;
   row.bins.resize(bins);
   for (size_t bin = 0; bin < bins; ++bin) {
     row.bins[bin] = IntervalBin{static_cast<uint32_t>(bounds[2 * bin]),
@@ -99,7 +129,7 @@ Result<IntervalRow> FoldIntervalRow(const RuleEngine& engine,
   row.size = shape.size;
   row.width = shape.width;
   row.height = shape.height;
-  return row;
+  return folded;
 }
 
 Result<FractionBounds> ComputeBounds(const RuleEngine& engine,

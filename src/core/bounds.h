@@ -56,6 +56,32 @@ Result<RuleState> ComputeRuleState(const RuleEngine& engine,
                                    const TargetBoundsResolver& resolver,
                                    CancelCheck* check = nullptr);
 
+/// The per-query half of BOUNDS: folds already planned rule steps into
+/// one bin's `[*hb_min, *hb_max]` pixel bounds, applying only
+/// `RuleEngine::ApplyStep` per step. `Step` carries its `RuleStep` as
+/// `rule`; `paste_target(step, &min, &max)` supplies a kPaste step's
+/// merge-target bounds for the same bin and returns a Status. A non-null
+/// `check` is consulted before each step, so a long script honors
+/// deadlines and cancellation mid-walk. `ComputeRuleState` (steps planned
+/// per call) and `AugmentedCollection::StoredBounds` (steps planned once
+/// at insert) both fold through this one loop.
+template <typename Step, typename PasteTargetFn>
+Status WalkRuleSteps(const Step* steps, size_t count, BinIndex hb,
+                     const PasteTargetFn& paste_target, CancelCheck* check,
+                     int64_t* hb_min, int64_t* hb_max) {
+  for (const Step* step = steps; step != steps + count; ++step) {
+    if (check != nullptr) MMDB_RETURN_IF_ERROR(check->Check());
+    int64_t target_min = 0;
+    int64_t target_max = 0;
+    if (step->rule.kind == RuleStep::Kind::kPaste) {
+      MMDB_RETURN_IF_ERROR(paste_target(*step, &target_min, &target_max));
+    }
+    RuleEngine::ApplyStep(step->rule, hb, target_min, target_max, hb_min,
+                          hb_max);
+  }
+  return Status::OK();
+}
+
 /// Converts a final rule state to fraction bounds ([0, 0] for an empty
 /// image).
 FractionBounds ToFractionBounds(const RuleState& state);
@@ -110,17 +136,27 @@ struct IntervalRow {
 /// target's exact histogram, an edited target's stored row.
 using TargetRowResolver = std::function<Result<IntervalRow>(ObjectId)>;
 
+/// What `FoldIntervalRow` derives from an edited image's script: its
+/// interval row, plus the `RuleStep` it planned for each operation, in
+/// script order. The steps are the bin-independent half of every rule;
+/// the collection stores them so a per-bin query replays only the count
+/// half (`WalkRuleSteps`).
+struct FoldedScript {
+  IntervalRow row;
+  std::vector<RuleStep> steps;
+};
+
 /// The all-bins BOUNDS fold: one pass over `script` that works out each
 /// operation's geometry once (`RuleEngine::PlanRule`) and applies its
 /// count step to every bin (`RuleEngine::ApplyStep`). Bin for bin equal
 /// to `ComputeRuleState` given a resolver that agrees with `targets`.
 /// Fails with OutOfRange when the final image has more than 2^32 - 1
 /// pixels (the row stores u32 counts).
-Result<IntervalRow> FoldIntervalRow(const RuleEngine& engine,
-                                    const EditScript& script,
-                                    const ColorHistogram& base_histogram,
-                                    int32_t base_width, int32_t base_height,
-                                    const TargetRowResolver& targets);
+Result<FoldedScript> FoldIntervalRow(const RuleEngine& engine,
+                                     const EditScript& script,
+                                     const ColorHistogram& base_histogram,
+                                     int32_t base_width, int32_t base_height,
+                                     const TargetRowResolver& targets);
 
 }  // namespace mmdb
 

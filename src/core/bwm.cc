@@ -31,10 +31,31 @@ obs::SpanCategory* RuleWalkSpan() {
   return category;
 }
 
+bool BaseIdLess(const BwmIndex::Cluster& cluster, ObjectId base_id) {
+  return cluster.base_id < base_id;
+}
+
 }  // namespace
 
-void BwmIndex::InsertBinary(ObjectId id) {
-  main_.try_emplace(id);  // Sorted by key; cluster starts empty.
+const BwmIndex::Cluster* BwmIndex::FindCluster(ObjectId base_id) const {
+  const auto it =
+      std::lower_bound(main_.begin(), main_.end(), base_id, BaseIdLess);
+  return it != main_.end() && it->base_id == base_id ? &*it : nullptr;
+}
+
+BwmIndex::Cluster& BwmIndex::ClusterOf(ObjectId base_id) {
+  // Ids grow with insertion, so a new cluster usually lands at the end.
+  auto it = std::lower_bound(main_.begin(), main_.end(), base_id, BaseIdLess);
+  if (it == main_.end() || it->base_id != base_id) {
+    it = main_.insert(it, Cluster{});
+    it->base_id = base_id;
+  }
+  return *it;
+}
+
+void BwmIndex::InsertBinary(const BinaryImageInfo& info) {
+  // The cluster starts empty (or adopts members filed before their base).
+  ClusterOf(info.id).base = &info;
 }
 
 void BwmIndex::InsertEdited(const EditedImageInfo& info) {
@@ -42,51 +63,54 @@ void BwmIndex::InsertEdited(const EditedImageInfo& info) {
   // sends the image to the Unclassified Component.
   if (!RuleEngine::IsAllBoundWidening(info.script)) {
     unclassified_.push_back(info.id);
+    unclassified_slots_.push_back(info.slot);
     return;
   }
-  // Figure 1, step 5: append to the cluster of the referenced base image.
-  std::vector<ObjectId>& cluster = main_[info.script.base_id];
-  // Keep E_list sorted so lookups stay cheap (paper Section 4.1).
-  cluster.insert(std::upper_bound(cluster.begin(), cluster.end(), info.id),
-                 info.id);
+  // Figure 1, step 5: append to the cluster of the referenced base image,
+  // keeping E_list sorted so lookups stay cheap (paper Section 4.1).
+  Cluster& cluster = ClusterOf(info.script.base_id);
+  const auto pos = std::upper_bound(cluster.edited_ids.begin(),
+                                    cluster.edited_ids.end(), info.id);
+  cluster.edited_slots.insert(
+      cluster.edited_slots.begin() + (pos - cluster.edited_ids.begin()),
+      info.slot);
+  cluster.edited_ids.insert(pos, info.id);
   ++main_edited_count_;
 }
 
 void BwmIndex::RemoveEdited(ObjectId id, ObjectId base_id) {
-  if (const auto it = main_.find(base_id); it != main_.end()) {
-    const auto pos =
-        std::lower_bound(it->second.begin(), it->second.end(), id);
-    if (pos != it->second.end() && *pos == id) {
-      it->second.erase(pos);
+  if (const auto it =
+          std::lower_bound(main_.begin(), main_.end(), base_id, BaseIdLess);
+      it != main_.end() && it->base_id == base_id) {
+    Cluster& cluster = *it;
+    const auto pos = std::lower_bound(cluster.edited_ids.begin(),
+                                      cluster.edited_ids.end(), id);
+    if (pos != cluster.edited_ids.end() && *pos == id) {
+      cluster.edited_slots.erase(cluster.edited_slots.begin() +
+                                 (pos - cluster.edited_ids.begin()));
+      cluster.edited_ids.erase(pos);
       --main_edited_count_;
       return;
     }
   }
   const auto pos = std::find(unclassified_.begin(), unclassified_.end(), id);
-  if (pos != unclassified_.end()) unclassified_.erase(pos);
+  if (pos != unclassified_.end()) {
+    unclassified_slots_.erase(unclassified_slots_.begin() +
+                              (pos - unclassified_.begin()));
+    unclassified_.erase(pos);
+  }
 }
 
 void BwmIndex::RemoveBinary(ObjectId id) {
-  const auto it = main_.find(id);
-  if (it != main_.end() && it->second.empty()) main_.erase(it);
-}
-
-std::vector<BwmIndex::Cluster> BwmIndex::MainClusters() const {
-  std::vector<Cluster> out;
-  out.reserve(main_.size());
-  for (const auto& [base_id, edited_ids] : main_) {
-    out.push_back(Cluster{base_id, edited_ids});
+  const auto it = std::lower_bound(main_.begin(), main_.end(), id, BaseIdLess);
+  if (it != main_.end() && it->base_id == id && it->edited_ids.empty()) {
+    main_.erase(it);
   }
-  return out;
 }
 
 BwmQueryProcessor::BwmQueryProcessor(const AugmentedCollection* collection,
-                                     const BwmIndex* index,
-                                     const RuleEngine* engine)
-    : collection_(collection),
-      index_(index),
-      engine_(engine),
-      resolver_(collection->MakeTargetResolver(*engine)) {}
+                                     const BwmIndex* index)
+    : collection_(collection), index_(index) {}
 
 Result<QueryResult> BwmQueryProcessor::RunRange(const RangeQuery& query,
                                                 const QueryContext& ctx) const {
@@ -94,65 +118,53 @@ Result<QueryResult> BwmQueryProcessor::RunRange(const RangeQuery& query,
   QueryResult result;
   CancelCheck check(ctx);
 
-  auto bound_and_collect = [&](ObjectId edited_id) -> Status {
+  auto bound_and_collect = [&](ObjectId id, uint32_t slot) -> Status {
     MMDB_RETURN_IF_ERROR(check.Check());
     obs::Span walk_span(RuleWalkSpan());
-    const EditedImageInfo* edited = collection_->FindEdited(edited_id);
-    if (edited == nullptr) {
-      return Status::Corruption("BWM index references missing edited image " +
-                                std::to_string(edited_id));
-    }
-    const BinaryImageInfo* base =
-        collection_->FindBinary(edited->script.base_id);
-    if (base == nullptr) {
-      return Status::Corruption("edited image " + std::to_string(edited_id) +
-                                " references missing base");
-    }
     MMDB_ASSIGN_OR_RETURN(
         FractionBounds bounds,
-        ComputeBounds(*engine_, edited->script, query.bin,
-                      base->histogram.Count(query.bin), base->width,
-                      base->height, resolver_, check.enabled_or_null()));
+        collection_->StoredBounds(slot, query.bin, check.enabled_or_null()));
     ++result.stats.edited_images_bounded;
-    result.stats.rules_applied +=
-        static_cast<int64_t>(edited->script.ops.size());
+    result.stats.rules_applied += collection_->StepCount(slot);
     if (bounds.Overlaps(query.min_fraction, query.max_fraction)) {
-      result.ids.push_back(edited_id);
+      result.ids.push_back(id);
     }
     return Status::OK();
   };
 
   // Figure 2, step 4: walk the Main Component clusters.
-  for (const auto& [base_id, edited_ids] : index_->main_map()) {
+  for (const BwmIndex::Cluster& cluster : index_->MainClusters()) {
     MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
-    const BinaryImageInfo* base = collection_->FindBinary(base_id);
-    if (base == nullptr) {
+    if (cluster.base == nullptr) {
       return Status::Corruption("BWM cluster references missing base " +
-                                std::to_string(base_id));
+                                std::to_string(cluster.base_id));
     }
     ++result.stats.binary_images_checked;
-    if (query.Satisfies(base->histogram.Fraction(query.bin))) {
+    if (query.Satisfies(cluster.base->histogram.Fraction(query.bin))) {
       // Step 4.2: the base satisfies the query, so every edited image in
       // the cluster does too — no rules applied.
       obs::Span accept_span(ClusterAcceptSpan());
-      result.ids.push_back(base_id);
-      result.ids.insert(result.ids.end(), edited_ids.begin(),
-                        edited_ids.end());
+      result.ids.push_back(cluster.base_id);
+      result.ids.insert(result.ids.end(), cluster.edited_ids.begin(),
+                        cluster.edited_ids.end());
       result.stats.edited_images_skipped +=
-          static_cast<int64_t>(edited_ids.size());
+          static_cast<int64_t>(cluster.edited_ids.size());
     } else {
       // Step 4.3: fall back to the BOUNDS computation per cluster member.
-      for (ObjectId edited_id : edited_ids) {
-        MMDB_RETURN_IF_ERROR(
-            AnnotateInterrupt(ctx, result, bound_and_collect(edited_id)));
+      for (size_t i = 0; i < cluster.edited_ids.size(); ++i) {
+        MMDB_RETURN_IF_ERROR(AnnotateInterrupt(
+            ctx, result,
+            bound_and_collect(cluster.edited_ids[i], cluster.edited_slots[i])));
       }
     }
   }
 
   // Figure 2, step 5: the Unclassified Component always pays full price.
-  for (ObjectId edited_id : index_->Unclassified()) {
-    MMDB_RETURN_IF_ERROR(
-        AnnotateInterrupt(ctx, result, bound_and_collect(edited_id)));
+  const std::vector<ObjectId>& unclassified = index_->Unclassified();
+  for (size_t i = 0; i < unclassified.size(); ++i) {
+    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(
+        ctx, result,
+        bound_and_collect(unclassified[i], index_->UnclassifiedSlots()[i])));
   }
   return result;
 }
@@ -163,65 +175,55 @@ Result<QueryResult> BwmQueryProcessor::RunConjunctive(
   QueryResult result;
   CancelCheck check(ctx);
 
-  auto bound_and_collect = [&](ObjectId edited_id) -> Status {
+  auto bound_and_collect = [&](ObjectId id, uint32_t slot) -> Status {
     MMDB_RETURN_IF_ERROR(check.Check());
     obs::Span walk_span(RuleWalkSpan());
-    const EditedImageInfo* edited = collection_->FindEdited(edited_id);
-    if (edited == nullptr) {
-      return Status::Corruption("BWM index references missing edited image " +
-                                std::to_string(edited_id));
-    }
-    const BinaryImageInfo* base =
-        collection_->FindBinary(edited->script.base_id);
-    if (base == nullptr) {
-      return Status::Corruption("edited image " + std::to_string(edited_id) +
-                                " references missing base");
-    }
     bool candidate = true;
     for (const RangeQuery& conjunct : query.conjuncts) {
       MMDB_ASSIGN_OR_RETURN(
           FractionBounds bounds,
-          ComputeBounds(*engine_, edited->script, conjunct.bin,
-                        base->histogram.Count(conjunct.bin), base->width,
-                        base->height, resolver_, check.enabled_or_null()));
-      result.stats.rules_applied +=
-          static_cast<int64_t>(edited->script.ops.size());
+          collection_->StoredBounds(slot, conjunct.bin,
+                                    check.enabled_or_null()));
+      result.stats.rules_applied += collection_->StepCount(slot);
       if (!bounds.Overlaps(conjunct.min_fraction, conjunct.max_fraction)) {
         candidate = false;
         break;
       }
     }
     ++result.stats.edited_images_bounded;
-    if (candidate) result.ids.push_back(edited_id);
+    if (candidate) result.ids.push_back(id);
     return Status::OK();
   };
 
-  for (const auto& [base_id, edited_ids] : index_->main_map()) {
+  for (const BwmIndex::Cluster& cluster : index_->MainClusters()) {
     MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
-    const BinaryImageInfo* base = collection_->FindBinary(base_id);
-    if (base == nullptr) {
+    if (cluster.base == nullptr) {
       return Status::Corruption("BWM cluster references missing base " +
-                                std::to_string(base_id));
+                                std::to_string(cluster.base_id));
     }
+    const BinaryImageInfo& base = *cluster.base;
     ++result.stats.binary_images_checked;
     if (query.Satisfies(
-            [&](BinIndex bin) { return base->histogram.Fraction(bin); })) {
+            [&](BinIndex bin) { return base.histogram.Fraction(bin); })) {
       obs::Span accept_span(ClusterAcceptSpan());
-      result.ids.push_back(base_id);
-      result.ids.insert(result.ids.end(), edited_ids.begin(),
-                        edited_ids.end());
+      result.ids.push_back(cluster.base_id);
+      result.ids.insert(result.ids.end(), cluster.edited_ids.begin(),
+                        cluster.edited_ids.end());
       result.stats.edited_images_skipped +=
-          static_cast<int64_t>(edited_ids.size());
+          static_cast<int64_t>(cluster.edited_ids.size());
     } else {
-      for (ObjectId edited_id : edited_ids) {
-        MMDB_RETURN_IF_ERROR(
-            AnnotateInterrupt(ctx, result, bound_and_collect(edited_id)));
+      for (size_t i = 0; i < cluster.edited_ids.size(); ++i) {
+        MMDB_RETURN_IF_ERROR(AnnotateInterrupt(
+            ctx, result,
+            bound_and_collect(cluster.edited_ids[i], cluster.edited_slots[i])));
       }
     }
   }
-  for (ObjectId edited_id : index_->Unclassified()) {
-    MMDB_RETURN_IF_ERROR(
-        AnnotateInterrupt(ctx, result, bound_and_collect(edited_id)));
+  const std::vector<ObjectId>& unclassified = index_->Unclassified();
+  for (size_t i = 0; i < unclassified.size(); ++i) {
+    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(
+        ctx, result,
+        bound_and_collect(unclassified[i], index_->UnclassifiedSlots()[i])));
   }
   return result;
 }

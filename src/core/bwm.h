@@ -1,13 +1,11 @@
 #ifndef MMDB_CORE_BWM_H_
 #define MMDB_CORE_BWM_H_
 
-#include <map>
 #include <vector>
 
 #include "core/collection.h"
 #include "core/query.h"
 #include "core/query_processor.h"
-#include "core/rules.h"
 #include "util/result.h"
 
 namespace mmdb {
@@ -27,12 +25,14 @@ namespace mmdb {
 class BwmIndex {
  public:
   /// Registers a newly inserted binary image, creating its (empty) Main
-  /// cluster. Id lists are kept sorted per the paper.
-  void InsertBinary(ObjectId id);
+  /// cluster. `info` is the collection's entry and must stay registered
+  /// while the cluster exists.
+  void InsertBinary(const BinaryImageInfo& info);
 
   /// Classifies a newly inserted edited image (Figure 1): appends it to
   /// its base's Main cluster when every operation's rule is
-  /// bound-widening, to the Unclassified Component otherwise.
+  /// bound-widening, to the Unclassified Component otherwise. `info` is
+  /// the collection's entry (its `slot` is recorded).
   void InsertEdited(const EditedImageInfo& info);
 
   /// Removes an edited image from whichever component holds it; no-op if
@@ -43,30 +43,42 @@ class BwmIndex {
   /// still has members or is absent.
   void RemoveBinary(ObjectId id);
 
-  /// One Main Component cluster.
+  /// One Main Component cluster `<B_id, E_list>`: the base's id and
+  /// catalog entry, its members' ids (kept sorted, per the paper) and,
+  /// parallel to them, their collection slots, so a scan looks nothing up
+  /// and walks each member's stored rule steps directly
+  /// (`AugmentedCollection::StoredBounds`).
   struct Cluster {
     ObjectId base_id = kInvalidObjectId;
+    const BinaryImageInfo* base = nullptr;
     std::vector<ObjectId> edited_ids;
+    std::vector<uint32_t> edited_slots;
   };
 
-  /// Main Component clusters in base-id order (copies; use `main_map`
-  /// for zero-copy iteration in hot paths).
-  std::vector<Cluster> MainClusters() const;
+  /// The Main Component, in base-id order, held flat so Figure 2's
+  /// cluster walk reads it sequentially.
+  const std::vector<Cluster>& MainClusters() const { return main_; }
 
-  /// The Main Component keyed by base image id.
-  const std::map<ObjectId, std::vector<ObjectId>>& main_map() const {
-    return main_;
-  }
+  /// The cluster of base `base_id`; nullptr when absent.
+  const Cluster* FindCluster(ObjectId base_id) const;
 
   /// Edited images in the Unclassified Component, in insertion order.
   const std::vector<ObjectId>& Unclassified() const { return unclassified_; }
+  /// Their collection slots, parallel to `Unclassified()`.
+  const std::vector<uint32_t>& UnclassifiedSlots() const {
+    return unclassified_slots_;
+  }
 
   /// Total edited images held in Main clusters.
   size_t MainEditedCount() const { return main_edited_count_; }
 
  private:
-  std::map<ObjectId, std::vector<ObjectId>> main_;
+  /// The cluster of `base_id`, created (empty, in order) when absent.
+  Cluster& ClusterOf(ObjectId base_id);
+
+  std::vector<Cluster> main_;
   std::vector<ObjectId> unclassified_;
+  std::vector<uint32_t> unclassified_slots_;
   size_t main_edited_count_ = 0;
 };
 
@@ -80,9 +92,9 @@ class BwmIndex {
 /// Produces exactly the same result set as `RbmQueryProcessor`.
 class BwmQueryProcessor : public QueryProcessor {
  public:
-  /// All referents must outlive the processor.
+  /// Both referents must outlive the processor.
   BwmQueryProcessor(const AugmentedCollection* collection,
-                    const BwmIndex* index, const RuleEngine* engine);
+                    const BwmIndex* index);
 
   using QueryProcessor::RunConjunctive;
   using QueryProcessor::RunRange;
@@ -103,8 +115,6 @@ class BwmQueryProcessor : public QueryProcessor {
  private:
   const AugmentedCollection* collection_;
   const BwmIndex* index_;
-  const RuleEngine* engine_;
-  TargetBoundsResolver resolver_;
 };
 
 }  // namespace mmdb

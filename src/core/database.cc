@@ -61,24 +61,22 @@ struct ProcessorRegistry {
       };
       r->factories[QueryMethod::kRbm] =
           [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
-        return std::make_unique<RbmQueryProcessor>(&db.collection(),
-                                                   &db.rule_engine());
+        return std::make_unique<RbmQueryProcessor>(&db.collection());
       };
       r->factories[QueryMethod::kBwm] =
           [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
-        return std::make_unique<BwmQueryProcessor>(
-            &db.collection(), &db.bwm_index(), &db.rule_engine());
+        return std::make_unique<BwmQueryProcessor>(&db.collection(),
+                                                   &db.bwm_index());
       };
       r->factories[QueryMethod::kBwmIndexed] =
           [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
         return std::make_unique<IndexedBwmQueryProcessor>(
-            &db.collection(), &db.bwm_index(), &db.rule_engine(),
-            &db.histogram_index());
+            &db.collection(), &db.bwm_index(), &db.histogram_index());
       };
       r->factories[QueryMethod::kParallelRbm] =
           [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
         return std::make_unique<ParallelRbmQueryProcessor>(
-            &db.collection(), &db.rule_engine(), db.shared_executor());
+            &db.collection(), db.shared_executor());
       };
       r->factories[QueryMethod::kPlanned] =
           [](const MultimediaDatabase& db) -> std::unique_ptr<QueryProcessor> {
@@ -242,7 +240,7 @@ Status MultimediaDatabase::LoadExisting() {
       MMDB_RETURN_IF_ERROR(
           histogram_index_.Insert(row.id, info.histogram));
       MMDB_RETURN_IF_ERROR(collection_.AddBinary(std::move(info)));
-      bwm_index_.InsertBinary(row.id);
+      bwm_index_.InsertBinary(*collection_.FindBinary(row.id));
     } else {
       Result<std::string> script_blob =
           store_->Get(catalog_keys::ScriptKey(row.id));
@@ -266,16 +264,16 @@ Status MultimediaDatabase::LoadExisting() {
       // image's interval row cannot be folded (nor its pixels rebuilt),
       // so it is quarantined too instead of failing the open; so is an
       // image too large for a row, which only an older build could store.
-      Result<IntervalRow> interval = collection_.FoldRow(rule_engine_, *script);
-      if (!interval.ok()) {
+      Result<FoldedScript> folded = collection_.Fold(rule_engine_, *script);
+      if (!folded.ok()) {
         QuarantineImage(row.id);
         continue;
       }
       EditedImageInfo info;
       info.id = row.id;
       info.script = *std::move(script);
-      bwm_index_.InsertEdited(info);
-      MMDB_RETURN_IF_ERROR(collection_.AddEdited(std::move(info), *interval));
+      MMDB_RETURN_IF_ERROR(collection_.AddEdited(std::move(info), *folded));
+      bwm_index_.InsertEdited(*collection_.FindEdited(row.id));
     }
   }
   return Status::OK();
@@ -331,7 +329,7 @@ Result<ObjectId> MultimediaDatabase::InsertBinaryImage(const Image& image) {
         store_->Put(catalog_keys::RowKey(id), EncodeCatalogRow(row)));
     MMDB_RETURN_IF_ERROR(histogram_index_.Insert(id, info.histogram));
     MMDB_RETURN_IF_ERROR(collection_.AddBinary(std::move(info)));
-    bwm_index_.InsertBinary(id);
+    bwm_index_.InsertBinary(*collection_.FindBinary(id));
     return Status::OK();
   }));
   mutation_epoch_.fetch_add(1, std::memory_order_release);
@@ -359,11 +357,11 @@ Status MultimediaDatabase::ValidateScript(const EditScript& script) const {
 Result<ObjectId> MultimediaDatabase::InsertEditedImage(
     const EditScript& script) {
   MMDB_RETURN_IF_ERROR(ValidateScript(script));
-  // The image's bounds never change while it is stored (DeleteImage
+  // The image's bounds never change while it is stored (the collection
   // refuses to remove its base or merge targets), so they are folded
-  // once, here, for every bin.
-  MMDB_ASSIGN_OR_RETURN(IntervalRow interval,
-                        collection_.FoldRow(rule_engine_, script));
+  // once, here, for every bin, and every rule's geometry is kept.
+  MMDB_ASSIGN_OR_RETURN(FoldedScript folded,
+                        collection_.Fold(rule_engine_, script));
   ObjectId id = kInvalidObjectId;
   MMDB_RETURN_IF_ERROR(WithBatch([&]() -> Status {
     MMDB_ASSIGN_OR_RETURN(id, NextId());
@@ -380,8 +378,10 @@ Result<ObjectId> MultimediaDatabase::InsertEditedImage(
     EditedImageInfo info;
     info.id = id;
     info.script = script;
-    bwm_index_.InsertEdited(info);  // Figure 1 insertion algorithm.
-    return collection_.AddEdited(std::move(info), interval);
+    MMDB_RETURN_IF_ERROR(collection_.AddEdited(std::move(info), folded));
+    // Figure 1 insertion algorithm.
+    bwm_index_.InsertEdited(*collection_.FindEdited(id));
+    return Status::OK();
   }));
   mutation_epoch_.fetch_add(1, std::memory_order_release);
   return id;
@@ -530,50 +530,23 @@ Result<QueryResult> MultimediaDatabase::RunSimilarity(
 Status MultimediaDatabase::DeleteImage(ObjectId id) {
   if (const EditedImageInfo* edited = collection_.FindEdited(id)) {
     // Refuse while some other edited image merges into this one.
-    for (ObjectId other_id : collection_.edited_ids()) {
-      if (other_id == id) continue;
-      const EditedImageInfo* other = collection_.FindEdited(other_id);
-      for (const EditOp& op : other->script.ops) {
-        if (GetOpType(op) != EditOpType::kMerge) continue;
-        const MergeOp& merge = std::get<MergeOp>(op);
-        if (merge.target.has_value() && *merge.target == id) {
-          return Status::InvalidArgument(
-              "image " + std::to_string(id) + " is a merge target of " +
-              std::to_string(other_id));
-        }
-      }
-    }
+    MMDB_RETURN_IF_ERROR(collection_.CheckUnreferenced(id));
     const ObjectId base_id = edited->script.base_id;
     // Store mutations first (atomically), in-memory state after.
     MMDB_RETURN_IF_ERROR(WithBatch([&]() -> Status {
       MMDB_RETURN_IF_ERROR(store_->Delete(catalog_keys::ScriptKey(id)));
       return store_->Delete(catalog_keys::RowKey(id));
     }));
-    MMDB_RETURN_IF_ERROR(collection_.RemoveEdited(id));
     bwm_index_.RemoveEdited(id, base_id);
+    MMDB_RETURN_IF_ERROR(collection_.RemoveEdited(id));
     mutation_epoch_.fetch_add(1, std::memory_order_release);
     return Status::OK();
   }
-  if (collection_.FindBinary(id) != nullptr) {
-    // Refuse while referenced as a base (checked by the collection) or
-    // as a merge target of any stored edited image.
-    for (ObjectId other_id : collection_.edited_ids()) {
-      const EditedImageInfo* other = collection_.FindEdited(other_id);
-      for (const EditOp& op : other->script.ops) {
-        if (GetOpType(op) != EditOpType::kMerge) continue;
-        const MergeOp& merge = std::get<MergeOp>(op);
-        if (merge.target.has_value() && *merge.target == id) {
-          return Status::InvalidArgument(
-              "image " + std::to_string(id) + " is a merge target of " +
-              std::to_string(other_id));
-        }
-      }
-    }
-    const BinaryImageInfo* info = collection_.FindBinary(id);
+  if (const BinaryImageInfo* info = collection_.FindBinary(id)) {
     const HyperRect index_key =
         HyperRect::Point(info->histogram.Normalized());
-    // RemoveBinary validates the no-dependents precondition; only then
-    // may the derived structures change.
+    // RemoveBinary refuses while the image is referenced as a base or
+    // merge target; only then may the derived structures change.
     MMDB_RETURN_IF_ERROR(collection_.RemoveBinary(id));
     MMDB_RETURN_IF_ERROR(histogram_index_.Remove(index_key, id));
     bwm_index_.RemoveBinary(id);

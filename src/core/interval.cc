@@ -26,12 +26,10 @@ Result<QueryResult> IntervalQueryProcessor::Scan(
   QueryResult result;
   CancelCheck check(ctx);
   // Binary images: the stored histogram answers the query exactly.
-  for (ObjectId id : collection_->binary_ids()) {
+  for (const BinaryImageInfo* binary : collection_->binary_infos()) {
     MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
     ++result.stats.binary_images_checked;
-    if (binary_matches(collection_->FindBinary(id)->histogram)) {
-      result.ids.push_back(id);
-    }
+    if (binary_matches(binary->histogram)) result.ids.push_back(binary->id);
   }
   // Edited images: one comparison against the stored row each.
   for (const EditedImageInfo* edited : collection_->edited_infos()) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/bounds.h"
 #include "obs/trace.h"
 
 namespace mmdb {
@@ -19,24 +18,22 @@ obs::SpanCategory* ScanSpan() {
 }  // namespace
 
 ParallelRbmQueryProcessor::ParallelRbmQueryProcessor(
-    const AugmentedCollection* collection, const RuleEngine* engine,
-    int threads)
+    const AugmentedCollection* collection, int threads)
     : collection_(collection),
-      engine_(engine),
       owned_executor_(std::make_unique<Executor>(std::max(1, threads) - 1)),
       executor_(owned_executor_.get()) {}
 
 ParallelRbmQueryProcessor::ParallelRbmQueryProcessor(
-    const AugmentedCollection* collection, const RuleEngine* engine,
-    Executor* executor)
-    : collection_(collection), engine_(engine), executor_(executor) {}
+    const AugmentedCollection* collection, Executor* executor)
+    : collection_(collection), executor_(executor) {}
 
 template <typename BoundFn>
 Status ParallelRbmQueryProcessor::ScanEdited(const QueryContext& ctx,
                                              QueryResult* result,
                                              const BoundFn& bound_one) const {
-  const std::vector<ObjectId>& edited = collection_->edited_ids();
-  const size_t n = edited.size();
+  const std::vector<ObjectId>& edited_ids = collection_->edited_ids();
+  const std::vector<uint32_t>& slots = collection_->edited_slots();
+  const size_t n = edited_ids.size();
   if (n == 0) return Status::OK();
   const size_t chunk_count =
       std::min(static_cast<size_t>(threads()), n);
@@ -52,25 +49,13 @@ Status ParallelRbmQueryProcessor::ScanEdited(const QueryContext& ctx,
     const size_t begin = n * w / chunk_count;
     const size_t end = n * (w + 1) / chunk_count;
     ChunkOutput& output = outputs[w];
-    // Per-chunk resolver: its cycle-detection state is not shareable.
-    const TargetBoundsResolver resolver =
-        collection_->MakeTargetResolver(*engine_);
-    // Per-chunk check: the stride countdown is not thread-safe either.
+    // Per-chunk check: the stride countdown is not thread-safe.
     CancelCheck check(ctx);
     for (size_t i = begin; i < end; ++i) {
       output.status = check.Check();
       if (!output.status.ok()) return;
-      const EditedImageInfo* info = collection_->FindEdited(edited[i]);
-      const BinaryImageInfo* base =
-          collection_->FindBinary(info->script.base_id);
-      if (base == nullptr) {
-        output.status = Status::Corruption(
-            "edited image " + std::to_string(edited[i]) +
-            " references missing base");
-        return;
-      }
-      output.status = bound_one(resolver, &check, *info, *base, &output.ids,
-                                &output.stats);
+      output.status = bound_one(&check, edited_ids[i], slots[i],
+                                &output.ids, &output.stats);
       if (!output.status.ok()) return;
     }
   });
@@ -96,30 +81,26 @@ Result<QueryResult> ParallelRbmQueryProcessor::RunRange(
   QueryResult result;
   CancelCheck check(ctx);
   // Binary images: cheap exact checks, done inline.
-  for (ObjectId id : collection_->binary_ids()) {
+  for (const BinaryImageInfo* binary : collection_->binary_infos()) {
     MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
-    const BinaryImageInfo* binary = collection_->FindBinary(id);
     ++result.stats.binary_images_checked;
     if (query.Satisfies(binary->histogram.Fraction(query.bin))) {
-      result.ids.push_back(id);
+      result.ids.push_back(binary->id);
     }
   }
 
   Status scan = ScanEdited(
       ctx, &result,
-      [&](const TargetBoundsResolver& resolver, CancelCheck* chunk_check,
-          const EditedImageInfo& info, const BinaryImageInfo& base,
+      [&](CancelCheck* chunk_check, ObjectId id, uint32_t slot,
           std::vector<ObjectId>* ids, QueryStats* stats) -> Status {
         MMDB_ASSIGN_OR_RETURN(
             FractionBounds bounds,
-            ComputeBounds(*engine_, info.script, query.bin,
-                          base.histogram.Count(query.bin), base.width,
-                          base.height, resolver,
-                          chunk_check->enabled_or_null()));
+            collection_->StoredBounds(slot, query.bin,
+                                      chunk_check->enabled_or_null()));
         ++stats->edited_images_bounded;
-        stats->rules_applied += static_cast<int64_t>(info.script.ops.size());
+        stats->rules_applied += collection_->StepCount(slot);
         if (bounds.Overlaps(query.min_fraction, query.max_fraction)) {
-          ids->push_back(info.id);
+          ids->push_back(id);
         }
         return Status::OK();
       });
@@ -132,31 +113,26 @@ Result<QueryResult> ParallelRbmQueryProcessor::RunConjunctive(
   obs::Span scan_span(ScanSpan());
   QueryResult result;
   CancelCheck check(ctx);
-  for (ObjectId id : collection_->binary_ids()) {
+  for (const BinaryImageInfo* binary : collection_->binary_infos()) {
     MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
-    const BinaryImageInfo* binary = collection_->FindBinary(id);
     ++result.stats.binary_images_checked;
     if (query.Satisfies(
             [&](BinIndex bin) { return binary->histogram.Fraction(bin); })) {
-      result.ids.push_back(id);
+      result.ids.push_back(binary->id);
     }
   }
 
   Status scan = ScanEdited(
       ctx, &result,
-      [&](const TargetBoundsResolver& resolver, CancelCheck* chunk_check,
-          const EditedImageInfo& info, const BinaryImageInfo& base,
+      [&](CancelCheck* chunk_check, ObjectId id, uint32_t slot,
           std::vector<ObjectId>* ids, QueryStats* stats) -> Status {
         bool candidate = true;
         for (const RangeQuery& conjunct : query.conjuncts) {
           MMDB_ASSIGN_OR_RETURN(
               FractionBounds bounds,
-              ComputeBounds(*engine_, info.script, conjunct.bin,
-                            base.histogram.Count(conjunct.bin), base.width,
-                            base.height, resolver,
-                            chunk_check->enabled_or_null()));
-          stats->rules_applied +=
-              static_cast<int64_t>(info.script.ops.size());
+              collection_->StoredBounds(slot, conjunct.bin,
+                                        chunk_check->enabled_or_null()));
+          stats->rules_applied += collection_->StepCount(slot);
           if (!bounds.Overlaps(conjunct.min_fraction,
                                conjunct.max_fraction)) {
             candidate = false;
@@ -164,7 +140,7 @@ Result<QueryResult> ParallelRbmQueryProcessor::RunConjunctive(
           }
         }
         ++stats->edited_images_bounded;
-        if (candidate) ids->push_back(info.id);
+        if (candidate) ids->push_back(id);
         return Status::OK();
       });
   MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, scan));

@@ -7,7 +7,6 @@
 #include "core/executor.h"
 #include "core/query.h"
 #include "core/query_processor.h"
-#include "core/rules.h"
 #include "util/result.h"
 
 namespace mmdb {
@@ -19,10 +18,9 @@ namespace mmdb {
 ///
 /// Multi-threaded Rule-Based Method scan (beyond-paper extension).
 ///
-/// The per-edited-image BOUNDS folds are independent, so the scan
-/// partitions the edited images into contiguous chunks and bounds each
-/// chunk as one `Executor` task (each with its own merge-target
-/// resolver — the resolvers' cycle-detection state is not shareable).
+/// The per-edited-image BOUNDS folds (`AugmentedCollection::StoredBounds`)
+/// are independent, so the scan partitions the edited images into
+/// contiguous chunks and bounds each chunk as one `Executor` task.
 /// Results are concatenated in chunk order, making the output
 /// deterministic and identical to the serial `RbmQueryProcessor` (the
 /// tests enforce both, for range and conjunctive queries alike).
@@ -39,12 +37,12 @@ class ParallelRbmQueryProcessor : public QueryProcessor {
   /// counts as one, so `threads - 1` workers are started; `threads` <= 1
   /// degenerates to a serial scan). Referents must outlive the processor.
   ParallelRbmQueryProcessor(const AugmentedCollection* collection,
-                            const RuleEngine* engine, int threads);
+                            int threads);
 
   /// Runs chunks on `executor` (not owned; must outlive the processor)
   /// instead of a private pool.
   ParallelRbmQueryProcessor(const AugmentedCollection* collection,
-                            const RuleEngine* engine, Executor* executor);
+                            Executor* executor);
 
   using QueryProcessor::RunConjunctive;
   using QueryProcessor::RunRange;
@@ -67,7 +65,8 @@ class ParallelRbmQueryProcessor : public QueryProcessor {
 
  private:
   /// Scans all edited images chunk-parallel; `bound_one` evaluates one
-  /// edited image (appending to ids/stats of its chunk). Merges every
+  /// edited image, given its id and slot (appending to ids/stats of its
+  /// chunk). Merges every
   /// chunk's output (so interrupted scans still report partial work),
   /// returning the first hard error, else the first interrupt status.
   template <typename BoundFn>
@@ -75,7 +74,6 @@ class ParallelRbmQueryProcessor : public QueryProcessor {
                     const BoundFn& bound_one) const;
 
   const AugmentedCollection* collection_;
-  const RuleEngine* engine_;
   std::unique_ptr<Executor> owned_executor_;
   Executor* executor_;
 };

@@ -47,8 +47,7 @@ CorpusStats CorpusStats::Collect(const MultimediaDatabase& db,
   stats.binary_count_ = static_cast<int64_t>(collection.BinaryCount());
   stats.edited_count_ = static_cast<int64_t>(collection.EditedCount());
 
-  for (ObjectId id : collection.binary_ids()) {
-    const BinaryImageInfo* info = collection.FindBinary(id);
+  for (const BinaryImageInfo* info : collection.binary_infos()) {
     for (BinIndex bin = 0; bin < bins; ++bin) {
       ++stats.binary_buckets_[static_cast<size_t>(bin)]
                              [BucketOf(info->histogram.Fraction(bin))];
@@ -56,18 +55,16 @@ CorpusStats CorpusStats::Collect(const MultimediaDatabase& db,
   }
 
   int64_t total_ops = 0;
-  for (ObjectId id : collection.edited_ids()) {
-    const EditedImageInfo* info = collection.FindEdited(id);
+  for (const EditedImageInfo* info : collection.edited_infos()) {
     total_ops += static_cast<int64_t>(info->script.ops.size());
     if (stats.sampled_edited_ >= static_cast<int64_t>(sample_limit)) continue;
     // The base histogram stands in for the edited image's fractions; an
     // exact figure would cost a full rule fold per sampled image.
-    const BinaryImageInfo* base = collection.FindBinary(info->script.base_id);
-    if (base == nullptr) continue;
+    const BinaryImageInfo& base = collection.BaseOf(*info);
     ++stats.sampled_edited_;
     for (BinIndex bin = 0; bin < bins; ++bin) {
       ++stats.sampled_buckets_[static_cast<size_t>(bin)]
-                              [BucketOf(base->histogram.Fraction(bin))];
+                              [BucketOf(base.histogram.Fraction(bin))];
     }
   }
 

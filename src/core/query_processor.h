@@ -21,9 +21,10 @@ namespace mmdb {
 ///  - `Run*` methods are const and touch only in-memory read state, so
 ///    one processor is safe to use from the thread that built it while
 ///    other threads run their own processors. A single processor instance
-///    is NOT shareable across threads (the bounds resolver's
-///    cycle-detection scratch state is per-instance); build one per
-///    thread, which is exactly what the facade and `QueryService` do.
+///    is NOT shareable across threads (the instantiate path's pixel
+///    resolver keeps per-instance cycle-detection scratch state); build
+///    one per thread, which is exactly what the facade and `QueryService`
+///    do.
 /// Every processor additionally honors the limits in a `QueryContext`
 /// (deadline, cancel tokens) by checking cooperatively at its natural
 /// boundaries — per image scanned, per rule-walk operation, per BWM

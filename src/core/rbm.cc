@@ -1,6 +1,5 @@
 #include "core/rbm.h"
 
-#include "core/bounds.h"
 #include "obs/trace.h"
 
 namespace mmdb {
@@ -24,11 +23,8 @@ obs::SpanCategory* RuleWalkSpan() {
 
 }  // namespace
 
-RbmQueryProcessor::RbmQueryProcessor(const AugmentedCollection* collection,
-                                     const RuleEngine* engine)
-    : collection_(collection),
-      engine_(engine),
-      resolver_(collection->MakeTargetResolver(*engine)) {}
+RbmQueryProcessor::RbmQueryProcessor(const AugmentedCollection* collection)
+    : collection_(collection) {}
 
 Result<QueryResult> RbmQueryProcessor::RunRange(const RangeQuery& query,
                                                 const QueryContext& ctx) const {
@@ -36,35 +32,26 @@ Result<QueryResult> RbmQueryProcessor::RunRange(const RangeQuery& query,
   QueryResult result;
   CancelCheck check(ctx);
   // Binary images: the stored histogram answers the query exactly.
-  for (ObjectId id : collection_->binary_ids()) {
+  for (const BinaryImageInfo* binary : collection_->binary_infos()) {
     MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
-    const BinaryImageInfo* binary = collection_->FindBinary(id);
     ++result.stats.binary_images_checked;
     if (query.Satisfies(binary->histogram.Fraction(query.bin))) {
-      result.ids.push_back(id);
+      result.ids.push_back(binary->id);
     }
   }
   // Edited images: apply the rule for every operation of every script.
-  for (ObjectId id : collection_->edited_ids()) {
+  const std::vector<ObjectId>& edited_ids = collection_->edited_ids();
+  const std::vector<uint32_t>& slots = collection_->edited_slots();
+  for (size_t i = 0; i < edited_ids.size(); ++i) {
     MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
     obs::Span walk_span(RuleWalkSpan());
-    const EditedImageInfo* edited = collection_->FindEdited(id);
-    const BinaryImageInfo* base =
-        collection_->FindBinary(edited->script.base_id);
-    if (base == nullptr) {
-      return Status::Corruption("edited image " + std::to_string(id) +
-                                " references missing base");
-    }
-    Result<FractionBounds> bounds =
-        ComputeBounds(*engine_, edited->script, query.bin,
-                      base->histogram.Count(query.bin), base->width,
-                      base->height, resolver_, check.enabled_or_null());
+    Result<FractionBounds> bounds = collection_->StoredBounds(
+        slots[i], query.bin, check.enabled_or_null());
     if (!bounds.ok()) return AnnotateInterrupt(ctx, result, bounds.status());
     ++result.stats.edited_images_bounded;
-    result.stats.rules_applied +=
-        static_cast<int64_t>(edited->script.ops.size());
+    result.stats.rules_applied += collection_->StepCount(slots[i]);
     if (bounds->Overlaps(query.min_fraction, query.max_fraction)) {
-      result.ids.push_back(id);
+      result.ids.push_back(edited_ids[i]);
     }
   }
   return result;
@@ -75,42 +62,33 @@ Result<QueryResult> RbmQueryProcessor::RunConjunctive(
   obs::Span scan_span(ScanSpan());
   QueryResult result;
   CancelCheck check(ctx);
-  for (ObjectId id : collection_->binary_ids()) {
+  for (const BinaryImageInfo* binary : collection_->binary_infos()) {
     MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
-    const BinaryImageInfo* binary = collection_->FindBinary(id);
     ++result.stats.binary_images_checked;
     if (query.Satisfies([&](BinIndex bin) {
           return binary->histogram.Fraction(bin);
         })) {
-      result.ids.push_back(id);
+      result.ids.push_back(binary->id);
     }
   }
-  for (ObjectId id : collection_->edited_ids()) {
+  const std::vector<ObjectId>& edited_ids = collection_->edited_ids();
+  const std::vector<uint32_t>& slots = collection_->edited_slots();
+  for (size_t i = 0; i < edited_ids.size(); ++i) {
     MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
     obs::Span walk_span(RuleWalkSpan());
-    const EditedImageInfo* edited = collection_->FindEdited(id);
-    const BinaryImageInfo* base =
-        collection_->FindBinary(edited->script.base_id);
-    if (base == nullptr) {
-      return Status::Corruption("edited image " + std::to_string(id) +
-                                " references missing base");
-    }
     bool candidate = true;
     for (const RangeQuery& conjunct : query.conjuncts) {
-      Result<FractionBounds> bounds =
-          ComputeBounds(*engine_, edited->script, conjunct.bin,
-                        base->histogram.Count(conjunct.bin), base->width,
-                        base->height, resolver_, check.enabled_or_null());
+      Result<FractionBounds> bounds = collection_->StoredBounds(
+          slots[i], conjunct.bin, check.enabled_or_null());
       if (!bounds.ok()) return AnnotateInterrupt(ctx, result, bounds.status());
-      result.stats.rules_applied +=
-          static_cast<int64_t>(edited->script.ops.size());
+      result.stats.rules_applied += collection_->StepCount(slots[i]);
       if (!bounds->Overlaps(conjunct.min_fraction, conjunct.max_fraction)) {
         candidate = false;
         break;
       }
     }
     ++result.stats.edited_images_bounded;
-    if (candidate) result.ids.push_back(id);
+    if (candidate) result.ids.push_back(edited_ids[i]);
   }
   return result;
 }

@@ -4,7 +4,6 @@
 #include "core/collection.h"
 #include "core/query.h"
 #include "core/query_processor.h"
-#include "core/rules.h"
 #include "util/result.h"
 
 namespace mmdb {
@@ -17,7 +16,9 @@ namespace mmdb {
 /// The Rule-Based Method (paper Section 3): answers a color range query
 /// over an augmented database by checking every binary image's stored
 /// histogram and, for every edited image, folding the Table 1 rules over
-/// *all* of its editing operations to bound the queried bin.
+/// *all* of its editing operations to bound the queried bin. Each rule's
+/// geometry was planned once at insert, so the fold applies only the
+/// rule's count step (`AugmentedCollection::StoredBounds`).
 ///
 /// Guarantee: no false negatives — an edited image is excluded only when
 /// its computed fraction range provably cannot overlap the query range.
@@ -25,9 +26,8 @@ namespace mmdb {
 /// paper accepts as the right trade-off for retrieval.
 class RbmQueryProcessor : public QueryProcessor {
  public:
-  /// Both referents must outlive the processor.
-  RbmQueryProcessor(const AugmentedCollection* collection,
-                    const RuleEngine* engine);
+  /// `collection` must outlive the processor.
+  explicit RbmQueryProcessor(const AugmentedCollection* collection);
 
   using QueryProcessor::RunConjunctive;
   using QueryProcessor::RunRange;
@@ -45,8 +45,6 @@ class RbmQueryProcessor : public QueryProcessor {
 
  private:
   const AugmentedCollection* collection_;
-  const RuleEngine* engine_;
-  TargetBoundsResolver resolver_;
 };
 
 }  // namespace mmdb

@@ -88,19 +88,21 @@ struct RuleStep {
     kPaste,
   };
 
-  Kind kind = Kind::kNone;
+  // Fields ordered widest first, so the struct packs into 64 bytes (the
+  // collection stores one per operation of every edited image).
   int64_t changed = 0;
   /// Pixel count before the operation (kExtract, kPaste).
   int64_t size_before = 0;
   /// Pixel count after the operation: the ceiling of every bound.
   int64_t size = 0;
-  BinIndex enter_bin = -1;
-  BinIndex leave_bin = -1;
   /// kScale: the per-pixel replication bracket (sound mode) or the
   /// verbatim M11 * M22 factor (`strict`).
   int64_t min_hits = 1;
   int64_t max_hits = 1;
   double factor = 1.0;
+  BinIndex enter_bin = -1;
+  BinIndex leave_bin = -1;
+  Kind kind = Kind::kNone;
   bool strict = false;
 };
 

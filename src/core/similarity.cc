@@ -99,11 +99,10 @@ Result<std::vector<SimilarityMatch>> SimilaritySearcher::Knn(
   std::vector<SimilarityMatch> all;
   all.reserve(collection_->BinaryCount() + collection_->EditedCount());
 
-  for (ObjectId id : collection_->binary_ids()) {
+  for (const BinaryImageInfo* binary : collection_->binary_infos()) {
     MMDB_RETURN_IF_ERROR(check.Check());
-    const BinaryImageInfo* binary = collection_->FindBinary(id);
     SimilarityMatch match;
-    match.id = id;
+    match.id = binary->id;
     match.distance_lo = match.distance_hi =
         L1Distance(query, binary->histogram);
     match.exact = true;
@@ -160,10 +159,9 @@ Result<SimilaritySearcher::RangeAnswer> SimilaritySearcher::WithinDistance(
     }
   };
 
-  for (ObjectId id : collection_->binary_ids()) {
-    const BinaryImageInfo* binary = collection_->FindBinary(id);
+  for (const BinaryImageInfo* binary : collection_->binary_infos()) {
     SimilarityMatch match;
-    match.id = id;
+    match.id = binary->id;
     match.distance_lo = match.distance_hi =
         L1Distance(query, binary->histogram);
     match.exact = true;

@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "core/bounds.h"
 #include "obs/trace.h"
 
 namespace mmdb {
@@ -19,12 +18,10 @@ obs::SpanCategory* ScanSpan() {
 
 IndexedBwmQueryProcessor::IndexedBwmQueryProcessor(
     const AugmentedCollection* collection, const BwmIndex* bwm_index,
-    const RuleEngine* engine, const HistogramIndex* histogram_index)
+    const HistogramIndex* histogram_index)
     : collection_(collection),
       bwm_index_(bwm_index),
-      engine_(engine),
-      histogram_index_(histogram_index),
-      resolver_(collection->MakeTargetResolver(*engine)) {}
+      histogram_index_(histogram_index) {}
 
 Result<QueryResult> IndexedBwmQueryProcessor::RunRange(
     const RangeQuery& query, const QueryContext& ctx) const {
@@ -40,63 +37,53 @@ Result<QueryResult> IndexedBwmQueryProcessor::RunRange(
   result.stats.binary_images_checked =
       static_cast<int64_t>(matching_binaries.size());
 
-  auto bound_and_collect = [&](ObjectId edited_id) -> Status {
+  auto bound_and_collect = [&](ObjectId id, uint32_t slot) -> Status {
     MMDB_RETURN_IF_ERROR(check.Check());
-    const EditedImageInfo* edited = collection_->FindEdited(edited_id);
-    if (edited == nullptr) {
-      return Status::Corruption("BWM index references missing edited image " +
-                                std::to_string(edited_id));
-    }
-    const BinaryImageInfo* base =
-        collection_->FindBinary(edited->script.base_id);
-    if (base == nullptr) {
-      return Status::Corruption("edited image " + std::to_string(edited_id) +
-                                " references missing base");
-    }
     MMDB_ASSIGN_OR_RETURN(
         FractionBounds bounds,
-        ComputeBounds(*engine_, edited->script, query.bin,
-                      base->histogram.Count(query.bin), base->width,
-                      base->height, resolver_, check.enabled_or_null()));
+        collection_->StoredBounds(slot, query.bin, check.enabled_or_null()));
     ++result.stats.edited_images_bounded;
-    result.stats.rules_applied +=
-        static_cast<int64_t>(edited->script.ops.size());
+    result.stats.rules_applied += collection_->StepCount(slot);
     if (bounds.Overlaps(query.min_fraction, query.max_fraction)) {
-      result.ids.push_back(edited_id);
+      result.ids.push_back(id);
     }
     return Status::OK();
   };
 
-  for (const auto& [base_id, edited_ids] : bwm_index_->main_map()) {
+  for (const BwmIndex::Cluster& cluster : bwm_index_->MainClusters()) {
     MMDB_RETURN_IF_ERROR(AnnotateInterrupt(ctx, result, check.Check()));
-    if (satisfied.count(base_id)) {
-      result.ids.push_back(base_id);
-      result.ids.insert(result.ids.end(), edited_ids.begin(),
-                        edited_ids.end());
+    if (satisfied.count(cluster.base_id)) {
+      result.ids.push_back(cluster.base_id);
+      result.ids.insert(result.ids.end(), cluster.edited_ids.begin(),
+                        cluster.edited_ids.end());
       result.stats.edited_images_skipped +=
-          static_cast<int64_t>(edited_ids.size());
+          static_cast<int64_t>(cluster.edited_ids.size());
     } else {
-      for (ObjectId edited_id : edited_ids) {
-        MMDB_RETURN_IF_ERROR(
-            AnnotateInterrupt(ctx, result, bound_and_collect(edited_id)));
+      for (size_t i = 0; i < cluster.edited_ids.size(); ++i) {
+        MMDB_RETURN_IF_ERROR(AnnotateInterrupt(
+            ctx, result,
+            bound_and_collect(cluster.edited_ids[i], cluster.edited_slots[i])));
       }
     }
   }
   // Satisfied binaries that are not cluster bases (e.g. materialized
   // variants) still belong in the answer.
   for (ObjectId id : matching_binaries) {
-    if (!bwm_index_->main_map().count(id)) result.ids.push_back(id);
+    if (bwm_index_->FindCluster(id) == nullptr) result.ids.push_back(id);
   }
-  for (ObjectId edited_id : bwm_index_->Unclassified()) {
-    MMDB_RETURN_IF_ERROR(
-        AnnotateInterrupt(ctx, result, bound_and_collect(edited_id)));
+  const std::vector<ObjectId>& unclassified = bwm_index_->Unclassified();
+  for (size_t i = 0; i < unclassified.size(); ++i) {
+    MMDB_RETURN_IF_ERROR(AnnotateInterrupt(
+        ctx, result,
+        bound_and_collect(unclassified[i],
+                          bwm_index_->UnclassifiedSlots()[i])));
   }
   return result;
 }
 
 Result<QueryResult> IndexedBwmQueryProcessor::RunConjunctive(
     const ConjunctiveQuery& query, const QueryContext& ctx) const {
-  BwmQueryProcessor bwm(collection_, bwm_index_, engine_);
+  BwmQueryProcessor bwm(collection_, bwm_index_);
   return bwm.RunConjunctive(query, ctx);
 }
 

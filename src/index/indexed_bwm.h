@@ -5,7 +5,6 @@
 #include "core/collection.h"
 #include "core/query.h"
 #include "core/query_processor.h"
-#include "core/rules.h"
 #include "index/histogram_index.h"
 #include "util/result.h"
 
@@ -29,7 +28,6 @@ class IndexedBwmQueryProcessor : public QueryProcessor {
   /// referents must outlive the processor.
   IndexedBwmQueryProcessor(const AugmentedCollection* collection,
                            const BwmIndex* bwm_index,
-                           const RuleEngine* engine,
                            const HistogramIndex* histogram_index);
 
   using QueryProcessor::RunConjunctive;
@@ -50,9 +48,7 @@ class IndexedBwmQueryProcessor : public QueryProcessor {
  private:
   const AugmentedCollection* collection_;
   const BwmIndex* bwm_index_;
-  const RuleEngine* engine_;
   const HistogramIndex* histogram_index_;
-  TargetBoundsResolver resolver_;
 };
 
 }  // namespace mmdb

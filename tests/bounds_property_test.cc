@@ -150,8 +150,9 @@ TEST(FractionBoundsTest, OverlapSemantics) {
 }
 
 TEST(BoundsTest, MergeTargetCycleIsRejected) {
-  // An edited image whose merge target is itself (via the collection's
-  // recursive resolver) must fail cleanly, not loop.
+  // An edited image whose merge target is itself must be refused cleanly,
+  // not loop: a merge target must already be stored when its referrer is
+  // added, so the stored steps' target chains stay acyclic.
   const ColorQuantizer quantizer(4);
   AugmentedCollection collection;
   BinaryImageInfo base;
@@ -167,19 +168,20 @@ TEST(BoundsTest, MergeTargetCycleIsRejected) {
   MergeOp self_merge;
   self_merge.target = 2;  // Itself.
   edited.script.ops.emplace_back(self_merge);
-  // The facade could not fold (or store) such an image; the row here is
-  // a stand-in, since only the per-bin resolver is under test.
-  ASSERT_TRUE(
-      collection.AddEdited(edited, IntervalRow::Exact(base.histogram, 4, 4))
-          .ok());
 
   const RuleEngine engine(quantizer);
-  const TargetBoundsResolver resolver =
-      collection.MakeTargetResolver(engine);
+  EXPECT_EQ(collection.Fold(engine, edited.script).status().code(),
+            StatusCode::kNotFound);
+  // Not even a stand-in fold gets the image stored.
+  const FoldedScript stand_in{IntervalRow::Exact(base.histogram, 4, 4),
+                              {RuleStep{}}};
+  EXPECT_EQ(collection.AddEdited(edited, stand_in).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(collection.EditedCount(), 0u);
   Result<FractionBounds> bounds =
-      ComputeBounds(engine, edited.script, 0, 16, 4, 4, resolver);
+      ComputeBounds(engine, edited.script, 0, 16, 4, 4,
+                    collection.MakeTargetResolver(engine));
   EXPECT_FALSE(bounds.ok());
-  EXPECT_EQ(bounds.status().code(), StatusCode::kInvalidArgument);
 }
 
 /// White-box lockstep check: the rule engine's structural tracking

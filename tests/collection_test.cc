@@ -25,15 +25,15 @@ EditedImageInfo MakeEdited(ObjectId id, ObjectId base_id) {
   return info;
 }
 
-/// Registers `info` with its folded interval row, as the facade does.
-/// When the fold fails (no such base), the row passed is empty, which
-/// `AddEdited` never reads: it refuses the image for the missing base.
+/// Registers `info` with its fold, as the facade does. When the fold
+/// fails (no such base), the fold passed is empty, which `AddEdited`
+/// never reads: it refuses the image for the missing base.
 Status AddEdited(AugmentedCollection& collection, EditedImageInfo info) {
   static const ColorQuantizer quantizer(4);
   static const RuleEngine engine(quantizer);
-  Result<IntervalRow> row = collection.FoldRow(engine, info.script);
+  Result<FoldedScript> folded = collection.Fold(engine, info.script);
   return collection.AddEdited(std::move(info),
-                              row.ok() ? *row : IntervalRow{});
+                              folded.ok() ? *folded : FoldedScript{});
 }
 
 TEST(CollectionTest, AddAndFind) {
@@ -84,6 +84,76 @@ TEST(CollectionTest, MaintainsConnections) {
   EXPECT_EQ(collection.EditedOf(1), (std::vector<ObjectId>{3, 4}));
   EXPECT_EQ(collection.EditedOf(2), std::vector<ObjectId>{5});
   EXPECT_TRUE(collection.EditedOf(99).empty());
+}
+
+TEST(CollectionTest, RemoveBinaryRefusesWhileAMergeTarget) {
+  AugmentedCollection collection;
+  ASSERT_TRUE(collection.AddBinary(MakeBinary(1, colors::kRed)).ok());
+  ASSERT_TRUE(collection.AddBinary(MakeBinary(2, colors::kBlue)).ok());
+  EditedImageInfo merging = MakeEdited(3, 1);
+  MergeOp into_binary;
+  into_binary.target = 2;
+  merging.script.ops.emplace_back(into_binary);
+  ASSERT_TRUE(AddEdited(collection, merging).ok());
+  EXPECT_EQ(collection.RemoveBinary(2).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(collection.RemoveBinary(1).code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(collection.FindBinary(2), nullptr);
+  ASSERT_TRUE(collection.RemoveEdited(3).ok());
+  EXPECT_TRUE(collection.RemoveBinary(2).ok());
+  EXPECT_TRUE(collection.RemoveBinary(1).ok());
+  EXPECT_TRUE(collection.binary_ids().empty());
+  EXPECT_TRUE(collection.binary_infos().empty());
+}
+
+TEST(CollectionTest, RemoveEditedRefusesWhileAMergeTarget) {
+  AugmentedCollection collection;
+  ASSERT_TRUE(collection.AddBinary(MakeBinary(1, colors::kRed)).ok());
+  ASSERT_TRUE(AddEdited(collection, MakeEdited(2, 1)).ok());
+  EditedImageInfo merging = MakeEdited(3, 1);
+  MergeOp into_edited;
+  into_edited.target = 2;
+  merging.script.ops.emplace_back(into_edited);
+  merging.script.ops.emplace_back(into_edited);  // Twice: one referrer.
+  ASSERT_TRUE(AddEdited(collection, merging).ok());
+  EXPECT_EQ(collection.CheckUnreferenced(2).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(collection.RemoveEdited(2).code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(collection.FindEdited(2), nullptr);
+  ASSERT_TRUE(collection.RemoveEdited(3).ok());
+  EXPECT_TRUE(collection.CheckUnreferenced(2).ok());
+  EXPECT_TRUE(collection.RemoveEdited(2).ok());
+  EXPECT_TRUE(collection.edited_ids().empty());
+  EXPECT_TRUE(collection.edited_slots().empty());
+}
+
+TEST(CollectionTest, InfoColumnsStayParallelToIds) {
+  AugmentedCollection collection;
+  for (ObjectId id : {5, 3, 9}) {
+    ASSERT_TRUE(collection.AddBinary(MakeBinary(id, colors::kRed)).ok());
+  }
+  for (ObjectId id : {10, 11, 12}) {
+    ASSERT_TRUE(AddEdited(collection, MakeEdited(id, 3)).ok());
+  }
+  ASSERT_TRUE(collection.RemoveEdited(11).ok());
+  ASSERT_TRUE(collection.RemoveBinary(9).ok());
+  ASSERT_TRUE(AddEdited(collection, MakeEdited(13, 5)).ok());
+  ASSERT_EQ(collection.binary_infos().size(), collection.binary_ids().size());
+  for (size_t i = 0; i < collection.binary_ids().size(); ++i) {
+    EXPECT_EQ(collection.binary_infos()[i],
+              collection.FindBinary(collection.binary_ids()[i]));
+  }
+  EXPECT_EQ(collection.edited_ids(), (std::vector<ObjectId>{10, 12, 13}));
+  ASSERT_EQ(collection.edited_slots().size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    const EditedImageInfo* info =
+        collection.FindEdited(collection.edited_ids()[i]);
+    EXPECT_EQ(collection.edited_infos()[i], info);
+    EXPECT_EQ(collection.edited_slots()[i], info->slot);
+  }
+  // Image 13 reused image 11's slot.
+  EXPECT_EQ(collection.FindEdited(13)->slot, 1u);
+  EXPECT_EQ(&collection.BaseOf(*collection.FindEdited(13)),
+            collection.FindBinary(5));
 }
 
 TEST(CollectionTest, PreservesInsertionOrder) {

@@ -18,9 +18,8 @@ TEST_P(ParallelScan, IdenticalToSerialIncludingOrder) {
   spec.seed = 811;
   ASSERT_TRUE(datasets::BuildAugmentedDatabase(db.get(), spec).ok());
 
-  const RbmQueryProcessor serial(&db->collection(), &db->rule_engine());
-  const ParallelRbmQueryProcessor parallel(&db->collection(),
-                                           &db->rule_engine(), GetParam());
+  const RbmQueryProcessor serial(&db->collection());
+  const ParallelRbmQueryProcessor parallel(&db->collection(), GetParam());
   Rng rng(813);
   const auto workload = datasets::MakeGroundedRangeWorkload(
       db->collection(), db->quantizer(), datasets::FlagPalette(), 10, rng);
@@ -45,9 +44,8 @@ TEST_P(ParallelScan, ConjunctiveIdenticalToSerialIncludingOrder) {
   spec.seed = 821;
   ASSERT_TRUE(datasets::BuildAugmentedDatabase(db.get(), spec).ok());
 
-  const RbmQueryProcessor serial(&db->collection(), &db->rule_engine());
-  const ParallelRbmQueryProcessor parallel(&db->collection(),
-                                           &db->rule_engine(), GetParam());
+  const RbmQueryProcessor serial(&db->collection());
+  const ParallelRbmQueryProcessor parallel(&db->collection(), GetParam());
   Rng rng(823);
   const auto windows = datasets::MakeGroundedRangeWorkload(
       db->collection(), db->quantizer(), datasets::FlagPalette(), 12, rng);
@@ -71,8 +69,7 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelScan,
 
 TEST(ParallelScanTest, HandlesEmptyAndTinyCollections) {
   auto db = MultimediaDatabase::Open().value();
-  const ParallelRbmQueryProcessor parallel(&db->collection(),
-                                           &db->rule_engine(), 4);
+  const ParallelRbmQueryProcessor parallel(&db->collection(), 4);
   RangeQuery query;
   query.bin = 0;
   EXPECT_TRUE(parallel.RunRange(query).value().ids.empty());
@@ -110,9 +107,8 @@ TEST(ParallelScanTest, MergeTargetsResolveAcrossThreads) {
     script.ops.emplace_back(merge);
     chain.push_back(db->InsertEditedImage(script).value());
   }
-  const RbmQueryProcessor serial(&db->collection(), &db->rule_engine());
-  const ParallelRbmQueryProcessor parallel(&db->collection(),
-                                           &db->rule_engine(), 4);
+  const RbmQueryProcessor serial(&db->collection());
+  const ParallelRbmQueryProcessor parallel(&db->collection(), 4);
   RangeQuery query;
   query.bin = db->BinOf(colors::kRed);
   query.min_fraction = 0.3;

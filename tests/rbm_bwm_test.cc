@@ -74,44 +74,63 @@ INSTANTIATE_TEST_SUITE_P(SeedSweep, RbmBwmEquivalence,
 
 TEST(BwmIndexTest, InsertionClassifiesPerFigure1) {
   BwmIndex index;
-  index.InsertBinary(10);
-  index.InsertBinary(20);
+  BinaryImageInfo base10;
+  base10.id = 10;
+  BinaryImageInfo base20;
+  base20.id = 20;
+  index.InsertBinary(base10);
+  index.InsertBinary(base20);
 
   EditedImageInfo widening;
   widening.id = 11;
+  widening.slot = 4;
   widening.script.base_id = 10;
   widening.script.ops.emplace_back(ModifyOp{colors::kRed, colors::kBlue});
   index.InsertEdited(widening);
 
   EditedImageInfo unclassified;
   unclassified.id = 12;
+  unclassified.slot = 7;
   unclassified.script.base_id = 10;
   MergeOp merge;
   merge.target = 20;
   unclassified.script.ops.emplace_back(merge);
   index.InsertEdited(unclassified);
 
-  const auto clusters = index.MainClusters();
+  const auto& clusters = index.MainClusters();
   ASSERT_EQ(clusters.size(), 2u);
   EXPECT_EQ(clusters[0].base_id, 10u);
+  EXPECT_EQ(clusters[0].base, &base10);
   EXPECT_EQ(clusters[0].edited_ids, std::vector<ObjectId>{11});
+  EXPECT_EQ(clusters[0].edited_slots, std::vector<uint32_t>{4});
+  EXPECT_EQ(clusters[1].base, &base20);
   EXPECT_TRUE(clusters[1].edited_ids.empty());
+  EXPECT_EQ(index.FindCluster(20), &clusters[1]);
+  EXPECT_EQ(index.FindCluster(15), nullptr);
   EXPECT_EQ(index.Unclassified(), std::vector<ObjectId>{12});
+  EXPECT_EQ(index.UnclassifiedSlots(), std::vector<uint32_t>{7});
   EXPECT_EQ(index.MainEditedCount(), 1u);
 }
 
 TEST(BwmIndexTest, ClusterIdsStaySorted) {
   BwmIndex index;
-  index.InsertBinary(1);
+  BinaryImageInfo base;
+  base.id = 1;
+  index.InsertBinary(base);
   for (ObjectId id : {9, 3, 7, 5}) {
     EditedImageInfo info;
     info.id = id;
+    info.slot = static_cast<uint32_t>(100 + id);
     info.script.base_id = 1;
     index.InsertEdited(info);
   }
-  const auto clusters = index.MainClusters();
-  ASSERT_EQ(clusters.size(), 1u);
-  EXPECT_EQ(clusters[0].edited_ids, (std::vector<ObjectId>{3, 5, 7, 9}));
+  ASSERT_EQ(index.MainClusters().size(), 1u);
+  const BwmIndex::Cluster& cluster = index.MainClusters()[0];
+  EXPECT_EQ(cluster.edited_ids, (std::vector<ObjectId>{3, 5, 7, 9}));
+  EXPECT_EQ(cluster.edited_slots, (std::vector<uint32_t>{103, 105, 107, 109}));
+  index.RemoveEdited(5, 1);
+  EXPECT_EQ(cluster.edited_ids, (std::vector<ObjectId>{3, 7, 9}));
+  EXPECT_EQ(cluster.edited_slots, (std::vector<uint32_t>{103, 107, 109}));
 }
 
 TEST(BwmStatsTest, SkipsRulesWhenBaseSatisfies) {
